@@ -31,7 +31,6 @@ from .duality import (
     reflect_inv,
 )
 from .invariants import (
-    InvariantValue,
     d_fund,
     de_tilde_fund,
     lambda_fund,
@@ -63,7 +62,6 @@ __all__ = [
     "FundamentalCuspidalSeq",
     "FusionTable",
     "Head",
-    "InvariantValue",
     "NoProviderError",
     "One",
     "QDatum",

@@ -58,6 +58,8 @@ def _range(text: str) -> tuple[int, int]:
 
 def _load_qdatum(info, text: str) -> QDatum:
     data = _payload(text)
+    if not isinstance(data, dict):
+        raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
     letter, rank = info.fin_type
     data.setdefault("fin_type", letter)
     data.setdefault("rank", rank)
@@ -432,3 +434,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

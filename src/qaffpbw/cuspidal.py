@@ -225,15 +225,9 @@ def verify_cuspidal_axioms(seq, lo: int, hi: int) -> dict:
             if x is None or y is None:
                 report["strongly_unmixed"][(a, b)] = "unknown"
                 continue
-            bound = invariants.shift_bound(info, x, y) + 1
-            bad = next(
-                (
-                    m
-                    for m in range(1, bound + 1)
-                    if invariants.d_fund(info, dual_point(info, x, m), y) != 0
-                ),
-                None,
-            )
+            # d(D^m x, y) = d(y, D^m x) since d is symmetric
+            profile = invariants.shift_profile(info, y, x)
+            bad = min((m for m in profile if m > 0), default=None)
             report["strongly_unmixed"][(a, b)] = (
                 "ok" if bad is None else f"fail(m={bad})"
             )

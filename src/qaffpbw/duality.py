@@ -22,7 +22,7 @@ from typing import Mapping
 
 from . import invariants, modexpr
 from ._linalg import leading_minors_positive
-from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, dual_point, type_info
+from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, type_info
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .qdata import QDatum, fundamental_labels
 
@@ -105,17 +105,9 @@ def check_strong(datum: DualityDatum) -> StrongReport:
                 pair_verdicts.append(((i, j), "unknown"))
                 cartan_ok = False
                 continue
-            matrix[i - 1][j - 1] = -invariants.d_fund(info, x, y)
-            bound = invariants.shift_bound(info, x, y) + 1
-            bad = next(
-                (
-                    k
-                    for k in range(-bound, bound + 1)
-                    if k != 0
-                    and invariants.d_fund(info, x, dual_point(info, y, k)) != 0
-                ),
-                None,
-            )
+            profile = invariants.shift_profile(info, x, y)
+            matrix[i - 1][j - 1] = -profile.get(0, 0)
+            bad = min((k for k in profile if k != 0), default=None)
             if bad is not None:
                 pair_verdicts.append(((i, j), f"fail(k={bad})"))
             else:
@@ -388,8 +380,12 @@ def datum_to_json(datum: DualityDatum) -> dict:
 
 def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
     data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, Mapping):
+        raise DualityError(f"datum JSON must be an object, got {data!r}")
     info = type_info(data["affine"])
     raw = data["members"]
+    if not isinstance(raw, Mapping):
+        raise DualityError(f"datum field 'members' must be an object, got {raw!r}")
     members = tuple(
         modexpr.expr_from_json(raw[str(i)]) for i in range(1, len(raw) + 1)
     )

@@ -15,22 +15,23 @@ shifts of one argument:
                    = (Lambda - Lambda8) / 2
     zero_c(x, y)   = sum_{k >= 0} (-1)^k  d(x, D^k y)
 
-All sums are finite because the zero multisets are; the truncation bound is
-computed from the largest zero exponent.
+All sums are finite because the zero multisets are.  ``shift_profile`` reads
+the k with d(x, D^k y) != 0 straight off the zeros: D^k y sits at node y or
+y* and exponent p_y + k h, so a zero m of d_{i,n} (n in {y, y*}) pins
+k = (m + p_x - p_y) / h and a zero m of d_{n,i} pins k = (p_x - p_y - m) / h;
+k counts when the division is exact and D^k y really lands on node n.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import affine
 from ._linalg import solve_exact
-from .affine import AffineTypeInfo, SigmaPoint, dual_point
+from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, dual_point
 from .rootsys import cartan
 
 __all__ = [
-    "InvariantValue",
     "d_fund",
+    "shift_profile",
     "lambda_fund",
     "lambda_inf_fund",
     "de_tilde_fund",
@@ -38,15 +39,7 @@ __all__ = [
     "pairing_E",
     "root_coordinates",
     "lambda_inf_word",
-    "shift_bound",
 ]
-
-
-class InvariantValue(NamedTuple):
-    """An integer invariant together with its exactness status."""
-
-    value: int
-    exact: bool
 
 
 def d_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
@@ -56,25 +49,28 @@ def d_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     return forward + backward
 
 
-def shift_bound(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
-    """|k| beyond which d(x, D^k y) is guaranteed to vanish."""
+def shift_profile(
+    info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint
+) -> dict[int, int]:
+    """{k: d(x, D^k y)} over every dual shift k where the value is nonzero."""
     h = info.dual_shift_exponent
     if h is None:
-        raise affine.NoProviderError(f"{info.name}: no dual shift on labels")
-    return (affine.max_zero_exponent(info) + abs(x.power - y.power)) // h + 1
-
-
-def _shift_terms(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint):
-    bound = shift_bound(info, x, y)
-    for k in range(-bound, bound + 1):
-        value = d_fund(info, x, dual_point(info, y, k))
-        if value:
-            yield k, value
+        raise NoProviderError(f"{info.name}: no dual shift on labels")
+    gap = x.power - y.power
+    profile: dict[int, int] = {}
+    for n in {y.node, info.star(y.node)}:
+        shifts = [m + gap for m in affine.denom_zeros(info, x.node, n)]
+        shifts += [gap - m for m in affine.denom_zeros(info, n, x.node)]
+        for shift in shifts:
+            k, rest = divmod(shift, h)
+            if not rest and dual_point(info, y, k).node == n:
+                profile[k] = profile.get(k, 0) + 1
+    return profile
 
 
 def lambda_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     total = 0
-    for k, value in _shift_terms(info, x, y):
+    for k, value in shift_profile(info, x, y).items():
         sign = -1 if (k + (1 if k < 0 else 0)) % 2 else 1
         total += sign * value
     return total
@@ -82,7 +78,7 @@ def lambda_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
 
 def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     total = 0
-    for k, value in _shift_terms(info, x, y):
+    for k, value in shift_profile(info, x, y).items():
         total += (-1 if k % 2 else 1) * value
     return total
 
@@ -90,7 +86,7 @@ def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
 def de_tilde_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """Negative-shift tail; equals (Lambda - Lambda8)/2."""
     total = 0
-    for k, value in _shift_terms(info, x, y):
+    for k, value in shift_profile(info, x, y).items():
         if k <= -1:
             total += (-1 if (k + 1) % 2 else 1) * value
     return total
@@ -99,7 +95,7 @@ def de_tilde_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
 def zero_c_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """Order of the zero of the renormalizing coefficient at z = 1."""
     total = 0
-    for k, value in _shift_terms(info, x, y):
+    for k, value in shift_profile(info, x, y).items():
         if k >= 0:
             total += (-1 if k % 2 else 1) * value
     return total
@@ -148,53 +144,6 @@ def root_coordinates(
     return tuple(int(c) for c in solution)
 
 
-def lambda_between(info: AffineTypeInfo, e1, e2) -> InvariantValue:
-    """Lambda between expressions: exact for fundamentals, else an upper
-    bound by subadditivity over all leaf pairs."""
-    from .modexpr import Fund, signed_leaves
-
-    if isinstance(e1, Fund) and isinstance(e2, Fund):
-        return InvariantValue(lambda_fund(info, e1.point, e2.point), True)
-    total = 0
-    for x, kx in signed_leaves(e1):
-        for y, ky in signed_leaves(e2):
-            total += lambda_fund(
-                info, dual_point(info, x, kx), dual_point(info, y, ky)
-            )
-    return InvariantValue(total, False)
-
-
-def d_between(info: AffineTypeInfo, e1, e2) -> InvariantValue:
-    """d between expressions, exact only for fundamental labels."""
-    from .modexpr import Fund
-
-    if isinstance(e1, Fund) and isinstance(e2, Fund):
-        return InvariantValue(d_fund(info, e1.point, e2.point), True)
-    forward = lambda_between(info, e1, e2).value
-    backward = lambda_between(info, e2, e1).value
-    return InvariantValue((forward + backward) // 2, False)
-
-
-def lambda_inf_between(info: AffineTypeInfo, e1, e2) -> InvariantValue:
-    """Lambda8 between expressions; exact for any simple subquotients."""
-    from .modexpr import signed_leaves
-
-    total = 0
-    for x, kx in signed_leaves(e1):
-        for y, ky in signed_leaves(e2):
-            total += lambda_inf_fund(
-                info, dual_point(info, x, kx), dual_point(info, y, ky)
-            )
-    return InvariantValue(total, True)
-
-
-def is_root_module_pattern(
-    info: AffineTypeInfo, x: SigmaPoint, extra: int = 2
-) -> bool:
-    """Check d(x, D^k x) = delta(k = +-1) over the full reachable range."""
-    bound = shift_bound(info, x, x) + extra
-    for k in range(-bound, bound + 1):
-        expected = 1 if k in (-1, 1) else 0
-        if d_fund(info, x, dual_point(info, x, k)) != expected:
-            return False
-    return True
+def is_root_module_pattern(info: AffineTypeInfo, x: SigmaPoint) -> bool:
+    """Check d(x, D^k x) = delta(k = +-1) over every dual shift k."""
+    return shift_profile(info, x, x) == {-1: 1, 1: 1}

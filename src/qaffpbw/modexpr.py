@@ -185,17 +185,14 @@ def certified_normal(info: AffineTypeInfo, factors: Sequence[Expr]) -> bool:
     if not all(isinstance(f, Fund) for f in factors):
         return False
     points = [f.point for f in factors]  # type: ignore[union-attr]
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if points[a] == points[b]:
-                continue
-            bound = invariants.shift_bound(info, points[a], points[b]) + 1
-            for m in range(1, bound + 1):
-                if invariants.d_fund(
-                    info, dual_point(info, points[a], m), points[b]
-                ):
-                    return False
-    return True
+    # d(D^m x, y) = d(y, D^m x) since d is symmetric
+    return not any(
+        k > 0
+        for a, x in enumerate(points)
+        for y in points[a + 1 :]
+        if x != y
+        for k in invariants.shift_profile(info, y, x)
+    )
 
 
 def _commute(info: AffineTypeInfo, a: Expr, b: Expr) -> bool:
@@ -441,15 +438,10 @@ def block_profile(
     For any simple subquotient of the denoted tensor word this profile is
     exact, so differing profiles certify non-isomorphic labels.
     """
-    values = []
-    for probe in probes:
-        total = 0
-        for point, shift in signed_leaves(expr):
-            total += invariants.lambda_inf_fund(
-                info, dual_point(info, point, shift), probe
-            )
-        values.append(total)
-    return tuple(values)
+    leaves = [dual_point(info, x, k) for x, k in signed_leaves(expr)]
+    return tuple(
+        invariants.lambda_inf_word(info, leaves, (probe,)) for probe in probes
+    )
 
 
 def _probe_window(info: AffineTypeInfo, exprs: Sequence[Expr]) -> tuple[SigmaPoint, ...]:

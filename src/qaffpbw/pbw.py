@@ -196,7 +196,12 @@ def expvec_to_json(a: ExpVec) -> dict:
 
 def expvec_from_json(doc: str | dict) -> ExpVec:
     data = json.loads(doc) if isinstance(doc, str) else doc
-    return ExpVec.from_dict({int(k): int(v) for k, v in data["support"].items()})
+    support = data.get("support") if isinstance(data, dict) else None
+    if not isinstance(support, dict):
+        raise ValueError(
+            f"exponent vector field 'support' must be an object: {data!r}"
+        )
+    return ExpVec.from_dict({int(k): int(v) for k, v in support.items()})
 
 
 def multiset_to_json(points) -> list:

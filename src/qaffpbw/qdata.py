@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .affine import AffineTypeInfo, SigmaPoint
+from .affine import SigmaPoint
 from .rootsys import MAX_ENUMERATION_RANK, Root, RootSystem, Word, dynkin_edges
 
 __all__ = [
@@ -73,11 +73,6 @@ class QDatum:
 
     def xi(self, i: int) -> int:
         return self.heights[i - 1]
-
-
-def validate(q: QDatum) -> None:
-    """Construction already validates; kept for an explicit entry point."""
-    QDatum(q.type_letter, q.rank, q.heights, q.automorphism)
 
 
 def _neighbors(q: QDatum) -> dict[int, tuple[int, ...]]:
@@ -167,17 +162,6 @@ def fundamental_labels(q: QDatum) -> dict[int, SigmaPoint]:
     return {i: mapping[rs.simple_root(i)] for i in rs.nodes}
 
 
-def compatible_with(q: QDatum, info: AffineTypeInfo) -> bool:
-    return (q.type_letter, q.rank) == info.fin_type
-
-
-def datum_from_q(info: AffineTypeInfo, q: QDatum):
-    """The canonical complete duality datum of a Q-datum."""
-    from .duality import from_q_datum
-
-    return from_q_datum(info, q)
-
-
 def all_height_functions(
     type_letter: str, rank: int, base: int = 0
 ) -> Iterator[tuple[int, ...]]:
@@ -214,8 +198,12 @@ def all_height_functions(
 def qdatum_from_json(doc: str | dict) -> QDatum:
     """Parse {"fin_type": "A", "rank": 2, "xi": {"1": 0, "2": 1}}."""
     data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, dict):
+        raise QDatumError(f"Q-datum JSON must be an object, got {data!r}")
     rank = int(data["rank"])
     xi = data["xi"]
+    if not isinstance(xi, dict):
+        raise QDatumError(f"Q-datum field 'xi' must map nodes to heights, got {xi!r}")
     heights = tuple(int(xi[str(i)]) for i in range(1, rank + 1))
     autom = data.get("automorphism")
     return QDatum(

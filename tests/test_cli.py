@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,38 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("phi", "--type", "A2^1", "--q", "[1]"), "--q"),
+        (("compare", "--a", '{"support":[1]}', "--b", '{"support":{}}'), "support"),
+        (("phi", "--type", "A2^1", "--q", '{"xi":[0,1]}'), "xi"),
+        (("check-strong", "--type", "A2^1", "--datum", "[]"), "datum"),
+    ],
+)
+def test_malformed_payload_is_a_domain_error(capsys, argv, field):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert field in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify-examples"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
 
 
 def test_usage_error_exit_code(capsys):

@@ -106,6 +106,31 @@ def test_verify_cuspidal_axioms_example():
     assert report["overall"] == "pass"
 
 
+class _StubSeq:
+    """Two fundamental labels S_1, S_2 in a window 1..2."""
+
+    info = A2
+
+    def __init__(self, s1, s2):
+        self.labels = {1: Fund(s1), 2: Fund(s2)}
+
+    def materialize(self, k):
+        return self.labels[k]
+
+
+def test_verify_cuspidal_axioms_failure_strings():
+    # d(D^2 S_2, S_1) = 1 with d(D S_2, S_1) = 0: the first bad shift is m = 2
+    report = cuspidal.verify_cuspidal_axioms(_StubSeq(P(2, -1), P(1, -4)), 1, 2)
+    assert report["root_module"] == {1: "ok", 2: "ok"}
+    assert report["strongly_unmixed"] == {(2, 1): "fail(m=2)"}
+    assert report["denominator_nonvanishing"] == {(2, 1): "fail"}
+    assert report["overall"] == "fail"
+    # the opposite order is strongly unmixed
+    report = cuspidal.verify_cuspidal_axioms(_StubSeq(P(1, -4), P(2, -1)), 1, 2)
+    assert report["strongly_unmixed"] == {(2, 1): "ok"}
+    assert report["overall"] == "pass"
+
+
 def test_verify_cuspidal_axioms_trivial_window():
     seq = CuspidalSeq(ex1_datum(), (1, 2, 1), FACTS)
     report = cuspidal.verify_cuspidal_axioms(seq, 2, 2)

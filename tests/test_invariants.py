@@ -123,28 +123,49 @@ def test_root_module_pattern_randomized():
 
 
 def test_between_expressions_exactness_flags():
-    from qaffpbw.invariants import (
-        InvariantValue,
-        d_between,
-        lambda_between,
-        lambda_inf_between,
-    )
-    from qaffpbw.modexpr import Fund, Head
+    from qaffpbw.modexpr import Dual, Fund, Head, block_profile
 
-    x, y = Fund(P(1, 0)), Fund(P(1, 2))
-    assert lambda_between(A2, x, y) == InvariantValue(1, True)
-    assert d_between(A2, x, y) == InvariantValue(1, True)
+    assert inv.lambda_fund(A2, P(1, 0), P(1, 2)) == 1
+    assert inv.d_fund(A2, P(1, 0), P(1, 2)) == 1
 
     compound = Head((Fund(P(1, 2)), Fund(P(1, 0))))
-    lam = lambda_between(A2, compound, y)
-    assert not lam.exact
-    assert lam.value == inv.lambda_fund(A2, P(1, 2), P(1, 2)) + inv.lambda_fund(
-        A2, P(1, 0), P(1, 2)
-    )
     # Lambda8 stays exact on compounds by additivity
-    li = lambda_inf_between(A2, compound, y)
-    assert li.exact
-    assert li.value == inv.lambda_inf_word(A2, [P(1, 2), P(1, 0)], [P(1, 2)])
+    assert block_profile(A2, compound, (P(1, 2),)) == (
+        inv.lambda_inf_word(A2, [P(1, 2), P(1, 0)], [P(1, 2)]),
+    )
+    assert block_profile(A2, Dual(1, compound), (P(1, 2),)) == (
+        -inv.lambda_inf_word(A2, [P(1, 2), P(1, 0)], [P(1, 2)]),
+    )
+
+
+def _assert_profiles_match_scan(info, lo, hi, span=12):
+    # reference: d over a generous window of dual shifts, zeros dropped
+    labels = [P(i, p) for i in range(1, info.rank + 1) for p in range(lo, hi + 1)]
+    for x in labels:
+        for y in labels:
+            scan = {k: inv.d_fund(info, x, dual_point(info, y, k)) for k in range(-span, span + 1)}
+            expected = {k: v for k, v in scan.items() if v}
+            assert inv.shift_profile(info, x, y) == expected, (info.name, x, y)
+
+
+def test_shift_profile_matches_scan_a_type():
+    for n in range(1, 7):
+        _assert_profiles_match_scan(type_info(f"A{n}^1"), -4, 4)
+
+
+def test_shift_profile_matches_scan_asymmetric_table():
+    from qaffpbw import affine
+
+    zeros = {"1,1": [2, 6], "1,2": [3, 5], "2,1": [3, 5], "2,2": [2, 4, 6]}
+    zeros["3,4"] = [-1, 7]  # no "4,3" entry, and a negative zero
+    info = affine.load_denominator_json({"type": "D4^1", "zeros": zeros})
+    try:
+        _assert_profiles_match_scan(info, -8, 8)
+        assert inv.shift_profile(info, P(3, 0), P(4, 7)) == {0: 1}
+        assert inv.shift_profile(info, P(4, 7), P(3, 0)) == {0: 1}
+        assert inv.shift_profile(info, P(3, 0), P(4, -13)) == {2: 1}
+    finally:
+        affine._EXTERNAL_TABLES.pop("D4^1")
 
 
 def test_lambda_splits_into_tail_sums():

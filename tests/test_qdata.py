@@ -4,6 +4,7 @@ import pytest
 
 from qaffpbw import qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
+from qaffpbw.duality import from_q_datum
 from qaffpbw.qdata import QDatum, QDatumError, UnsupportedAutomorphismError
 
 A2 = type_info("A2^1")
@@ -14,8 +15,8 @@ Q21 = QDatum("A", 2, (2, 1))
 
 
 def test_validate():
-    qdata.validate(Q01)
-    qdata.validate(Q21)
+    QDatum(Q01.type_letter, Q01.rank, Q01.heights, Q01.automorphism)
+    QDatum(Q21.type_letter, Q21.rank, Q21.heights, Q21.automorphism)
     with pytest.raises(QDatumError):
         QDatum("A", 2, (0, 2))
     with pytest.raises(UnsupportedAutomorphismError):
@@ -120,6 +121,6 @@ def test_json_parse():
 
 
 def test_datum_from_q_alias():
-    datum = qdata.datum_from_q(A2, Q01)
+    datum = from_q_datum(A2, Q01)
     assert [m.point for m in datum.members] == [P(1, 0), P(1, 2)]
     assert datum.complete is True
