@@ -41,6 +41,8 @@ __all__ = [
     "register_denominator_table",
     "load_denominator_json",
     "registered_names",
+    "json_int",
+    "point_from_json",
 ]
 
 
@@ -58,6 +60,21 @@ class SigmaPoint(NamedTuple):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.node},{self.power})"
+
+
+def json_int(value, field: str) -> int:
+    """``int(value)`` for a field of a JSON payload; a ValueError naming it otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from err
+
+
+def point_from_json(value, field: str) -> SigmaPoint:
+    """A label from a JSON ``[node, power]`` pair; a ValueError naming the field otherwise."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{field} must be a [node, power] pair, got {value!r}")
+    return SigmaPoint(json_int(value[0], field), json_int(value[1], field))
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +408,29 @@ def load_denominator_json(doc: str | dict) -> AffineTypeInfo:
     Format: {"type": "A2^1", "zeros": {"1,1": [2], "1,2": [3], ...}}.
     """
     data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, Mapping):
+        raise AffineTypeError(f"denominator JSON must be an object, got {data!r}")
     try:
         name = data["type"]
         raw = data["zeros"]
     except KeyError as err:
         raise AffineTypeError(f"denominator JSON is missing key {err}") from err
+    if not isinstance(name, str):
+        raise AffineTypeError(f"denominator field 'type' must be a type name, got {name!r}")
+    if not isinstance(raw, Mapping):
+        raise AffineTypeError(f"denominator field 'zeros' must be an object, got {raw!r}")
     zeros: dict[tuple[int, int], list[int]] = {}
     for key, ms in raw.items():
-        i_s, j_s = key.split(",")
-        zeros[(int(i_s), int(j_s))] = [int(m) for m in ms]
+        pair = key.split(",") if isinstance(key, str) else ()
+        if len(pair) != 2 or not isinstance(ms, (list, tuple)):
+            raise AffineTypeError(
+                f"denominator field 'zeros' maps \"i,j\" to a list of exponents, "
+                f"got {key!r}: {ms!r}"
+            )
+        field = f"denominator field 'zeros' entry {key!r}"
+        zeros[(json_int(pair[0], field), json_int(pair[1], field))] = [
+            json_int(m, field) for m in ms
+        ]
     register_denominator_table(name, zeros)
     return type_info(name)
 

@@ -18,6 +18,13 @@ from .cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from .modexpr import FusionTable
 from .qdata import QDatum
 
+# Largest requests accepted, so that an oversized one fails at once instead of
+# running for minutes: a sigma-quiver window costs about the square of its
+# width (1000 exponents of A8^1 take over 20 s), the other two grow linearly.
+MAX_RANGE = 1000  # labels in a cuspidal --range
+MAX_WINDOW = 200  # exponents in a sigma-quiver --window
+MAX_TIMES = 100  # reflections by --times
+
 _INVARIANT_KINDS = {
     "d": invariants.d_fund,
     "lambda": invariants.lambda_fund,
@@ -51,9 +58,12 @@ def _word(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _range(text: str) -> tuple[int, int]:
+def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
     lo, hi = text.split("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if hi - lo + 1 > limit:
+        raise ValueError(f"{flag} {text} spans {hi - lo + 1} values; the limit is {limit}")
+    return lo, hi
 
 
 def _load_qdatum(info, text: str) -> QDatum:
@@ -150,6 +160,8 @@ def _cmd_datum_from_q(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
+    if not 0 <= args.times <= MAX_TIMES:
+        raise ValueError(f"--times {args.times} is outside 0..{MAX_TIMES}")
     info = type_info(args.type)
     _maybe_load_denoms(args)
     facts = _load_facts(info, args)
@@ -168,6 +180,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_cuspidal(args) -> int:
+    lo, hi = _range(args.range, "--range", MAX_RANGE)
     info = type_info(args.type)
     _maybe_load_denoms(args)
     facts = _load_facts(info, args)
@@ -176,7 +189,6 @@ def _cmd_cuspidal(args) -> int:
     else:
         datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
     seq = CuspidalSeq(datum, _word(args.word), facts)
-    lo, hi = _range(args.range)
     doc = [{"k": k, "label": _expr_doc(seq.materialize(k))} for k in range(lo, hi + 1)]
     _emit(doc, args.format)
     return 0
@@ -219,7 +231,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sigma_quiver(args) -> int:
     info = type_info(args.type)
     _maybe_load_denoms(args)
-    lo, hi = _range(args.window)
+    lo, hi = _range(args.window, "--window", MAX_WINDOW)
     vertices, arrows = affine.sigma_quiver(info, lo, hi)
     if args.format == "dot":
         lines = ["digraph sigma0 {"]

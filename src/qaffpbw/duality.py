@@ -382,15 +382,23 @@ def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, Mapping):
         raise DualityError(f"datum JSON must be an object, got {data!r}")
-    info = type_info(data["affine"])
+    name = data.get("affine")
+    if not isinstance(name, str):
+        raise DualityError(f"datum field 'affine' must be a type name, got {name!r}")
+    info = type_info(name)
     raw = data["members"]
     if not isinstance(raw, Mapping):
         raise DualityError(f"datum field 'members' must be an object, got {raw!r}")
-    members = tuple(
-        modexpr.expr_from_json(raw[str(i)]) for i in range(1, len(raw) + 1)
-    )
+    members = []
+    for i in range(1, len(raw) + 1):
+        if str(i) not in raw:
+            raise DualityError(f"datum field 'members' has no member {i}")
+        try:
+            members.append(modexpr.expr_from_json(raw[str(i)]))
+        except ValueError as err:
+            raise DualityError(f"datum field 'members' entry {i}: {err}") from err
     provenance = data.get("provenance", "user")
     complete = True if provenance == "from-Q" else None
     return DualityDatum(
-        info=info, members=members, provenance=provenance, complete=complete
+        info=info, members=tuple(members), provenance=provenance, complete=complete
     )

@@ -36,7 +36,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from . import affine, invariants
-from .affine import AffineTypeInfo, SigmaPoint, dual_point
+from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
 
 __all__ = [
     "One",
@@ -141,19 +141,30 @@ class FusionTable:
     @classmethod
     def from_json(cls, info: AffineTypeInfo, doc: str | dict) -> "FusionTable":
         data = json.loads(doc) if isinstance(doc, str) else doc
+        if not isinstance(data, dict):
+            raise ValueError(f"fusion facts JSON must be an object, got {data!r}")
         if data.get("type") and data["type"] != info.name:
             raise ValueError(
                 f"fusion table is for {data['type']}, not {info.name}"
             )
-        facts = [
-            FusionFact(
-                left=SigmaPoint(*entry["head"][0]),
-                right=SigmaPoint(*entry["head"][1]),
-                result=SigmaPoint(*entry["eq"]),
-                shift_equivariant=bool(entry.get("shift_equivariant", True)),
+        entries = data.get("facts")
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"fusion facts field 'facts' must be a list, got {entries!r}")
+        facts = []
+        for entry in entries:
+            head = entry.get("head") if isinstance(entry, dict) else None
+            if not isinstance(head, (list, tuple)) or len(head) != 2:
+                raise ValueError(
+                    f"fusion fact field 'head' must hold two labels, got {entry!r}"
+                )
+            facts.append(
+                FusionFact(
+                    left=point_from_json(head[0], "fusion fact field 'head'"),
+                    right=point_from_json(head[1], "fusion fact field 'head'"),
+                    result=point_from_json(entry.get("eq"), "fusion fact field 'eq'"),
+                    shift_equivariant=bool(entry.get("shift_equivariant", True)),
+                )
             )
-            for entry in data["facts"]
-        ]
         return cls(info, facts)
 
     @classmethod
@@ -493,17 +504,23 @@ def expr_to_json(expr: Expr):
 
 
 def expr_from_json(doc) -> Expr:
+    if not isinstance(doc, dict):
+        raise ValueError(f"an expression must be a JSON object, got {doc!r}")
     if "one" in doc:
         return One
     if "fund" in doc:
-        i, p = doc["fund"]
-        return Fund(SigmaPoint(int(i), int(p)))
+        return Fund(point_from_json(doc["fund"], "'fund'"))
     if "dual" in doc:
-        return Dual(int(doc["dual"]["k"]), expr_from_json(doc["dual"]["of"]))
+        dual = doc["dual"]
+        if not isinstance(dual, dict) or "k" not in dual or "of" not in dual:
+            raise ValueError(f"'dual' must be an object with 'k' and 'of', got {dual!r}")
+        return Dual(json_int(dual["k"], "'dual' field 'k'"), expr_from_json(dual["of"]))
     if "head" in doc:
         entries = doc["head"]
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"'head' must be a list of factors, got {entries!r}")
         factors = tuple(
-            expr_from_json(f) if isinstance(f, dict) else Fund(SigmaPoint(*f))
+            expr_from_json(f) if isinstance(f, dict) else Fund(point_from_json(f, "'head' entry"))
             for f in entries
         )
         return Head(factors)

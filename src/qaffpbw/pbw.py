@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import invariants
-from .affine import SigmaPoint, dual_point
+from .affine import SigmaPoint, dual_point, point_from_json
 from .modexpr import Expr, Fund
 
 __all__ = [
@@ -210,4 +210,6 @@ def multiset_to_json(points) -> list:
 
 def multiset_from_json(doc: str | list) -> list[SigmaPoint]:
     data = json.loads(doc) if isinstance(doc, str) else doc
-    return [SigmaPoint(int(i), int(p)) for i, p in data]
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"multiset must be a list of [node, power] pairs, got {data!r}")
+    return [point_from_json(entry, "multiset entry") for entry in data]

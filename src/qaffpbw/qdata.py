@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .affine import SigmaPoint
+from .affine import SigmaPoint, json_int
 from .rootsys import MAX_ENUMERATION_RANK, Root, RootSystem, Word, dynkin_edges
 
 __all__ = [
@@ -108,20 +108,21 @@ def _adapted_search(q: QDatum) -> Iterator[Word]:
     ell = rs.number_of_positive_roots()
     adj = _neighbors(q)
 
-    def grow(word: tuple[int, ...], heights: list[int]) -> Iterator[Word]:
+    def grow(word: Word, heights: list[int], images: tuple[Root, ...]) -> Iterator[Word]:
+        # images[i - 1] = w(alpha_i) for the word w
         if len(word) == ell:
             yield word
             return
         for i in range(1, q.rank + 1):
             if not _is_strict_minimum(heights, i, adj):
                 continue
-            if not rs.is_positive(rs.act(word, rs.simple_root(i))):
+            if not rs.is_positive(images[i - 1]):
                 continue
             heights[i - 1] += 2
-            yield from grow(word + (i,), heights)
+            yield from grow(word + (i,), heights, rs.extend_images(images, i))
             heights[i - 1] -= 2
 
-    yield from grow((), list(q.heights))
+    yield from grow((), list(q.heights), rs.simple_roots())
 
 
 def adapted_words(q: QDatum) -> Iterator[Word]:
@@ -200,15 +201,21 @@ def qdatum_from_json(doc: str | dict) -> QDatum:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, dict):
         raise QDatumError(f"Q-datum JSON must be an object, got {data!r}")
-    rank = int(data["rank"])
+    rank = json_int(data["rank"], "Q-datum field 'rank'")
     xi = data["xi"]
     if not isinstance(xi, dict):
         raise QDatumError(f"Q-datum field 'xi' must map nodes to heights, got {xi!r}")
-    heights = tuple(int(xi[str(i)]) for i in range(1, rank + 1))
+    heights = []
+    for i in range(1, rank + 1):
+        if str(i) not in xi:
+            raise QDatumError(f"Q-datum field 'xi' has no height for node {i}")
+        heights.append(json_int(xi[str(i)], f"Q-datum field 'xi' entry {i}"))
     autom = data.get("automorphism")
+    if autom is not None and not isinstance(autom, list):
+        raise QDatumError(f"Q-datum field 'automorphism' must be a list, got {autom!r}")
     return QDatum(
         type_letter=data["fin_type"],
         rank=rank,
-        heights=heights,
+        heights=tuple(heights),
         automorphism=tuple(autom) if autom is not None else None,
     )

@@ -9,22 +9,32 @@ simple roots.  Node numbering follows Bourbaki:
     E_n : chain 1 - 3 - 4 - 5 - ... - n, with 2 attached to 4
 
 A reduced expression ``w = s_{i_1} ... s_{i_m}`` is stored as the flat tuple
-``(i_1, ..., i_m)``.  Reducedness is decided through the reflection
-representation (length equals the number of inversions).
+``(i_1, ..., i_m)``.  Two caches hold all Weyl data: one record per
+(type, rank) with the Cartan matrix, the positive roots and a reduced word
+of w0, and one analysis per (type, rank, word).  The analysis walks the word once, carrying the
+images w(alpha_j) of the simple roots under the prefix w, updated by
+
+    (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
+
+The word is reduced exactly when every beta_k = w_{k-1}(alpha_{i_k}) is
+positive.  ``length`` counts inversions instead, independently of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 SIMPLY_LACED = ("A", "D", "E")
 
 # Enumerating every reduced word of w0 explodes combinatorially; D_5 already
 # has millions.  Keep exhaustive enumeration usable but guarded.
 MAX_ENUMERATION_RANK = 4
+
+# Word analyses kept at once; a cuspidal sequence or an adapted-word search
+# touches a handful of words, so this only bounds a long-running process.
+WORD_CACHE_SIZE = 1024
 
 
 class RootSystemError(ValueError):
@@ -37,12 +47,7 @@ Word = tuple[int, ...]
 
 def cartan(type_letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of the given simply-laced finite type, Bourbaki order."""
-    edges = dynkin_edges(type_letter, rank)
-    mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in edges:
-        mat[i - 1][j - 1] = -1
-        mat[j - 1][i - 1] = -1
-    return tuple(tuple(row) for row in mat)
+    return _root_data(type_letter, rank).cartan
 
 
 def dynkin_edges(type_letter: str, rank: int) -> tuple[tuple[int, int], ...]:
@@ -62,6 +67,105 @@ def dynkin_edges(type_letter: str, rank: int) -> tuple[tuple[int, int], ...]:
         chain = ((1, 3),) + tuple((i, i + 1) for i in range(3, rank))
         return chain + ((2, 4),)
     raise RootSystemError(f"unknown simply-laced type {type_letter!r}")
+
+
+class _RootData(NamedTuple):
+    cartan: tuple[tuple[int, ...], ...]
+    simple: tuple[Root, ...]  # alpha_1 .. alpha_n
+    positive: tuple[Root, ...]  # sorted by height, then lexicographically
+    longest: Word  # the greedy reduced word of w0, smallest ascent first
+
+
+class _WordData(NamedTuple):
+    reduced: bool
+    # the fields below are empty unless the word is reduced
+    betas: tuple[Root, ...]
+    pairs: tuple[tuple[tuple[int, int], ...], ...]  # minimal pairs of beta_k
+    images: tuple[Root, ...]  # w(alpha_j) for the whole word w
+
+
+def _reflect(row: tuple[int, ...], i: int, v: Root) -> Root:
+    # s_i(v) = v - <alpha_i^vee, v> alpha_i, with row = row i of the Cartan matrix
+    pairing = sum(a * x for a, x in zip(row, v))
+    return tuple(x - pairing if j == i - 1 else x for j, x in enumerate(v))
+
+
+def _step(cartan_matrix, images: tuple[Root, ...], i: int) -> tuple[Root, ...]:
+    # (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i)
+    wi = images[i - 1]
+    return tuple(
+        img if not a else tuple(x - a * y for x, y in zip(img, wi))
+        for img, a in zip(images, cartan_matrix[i - 1])
+    )
+
+
+def _is_positive(v: Root) -> bool:
+    return any(x > 0 for x in v) and all(x >= 0 for x in v)
+
+
+@lru_cache(maxsize=None)
+def _root_data(type_letter: str, rank: int) -> _RootData:
+    mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in dynkin_edges(type_letter, rank):
+        mat[i - 1][j - 1] = -1
+        mat[j - 1][i - 1] = -1
+    matrix = tuple(tuple(row) for row in mat)
+    simple = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+    # closure of the simple roots under simple reflections, keeping positives
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        v = frontier.pop()
+        for i in range(1, rank + 1):
+            w = _reflect(matrix[i - 1], i, v)
+            if _is_positive(w) and w not in found:
+                found.add(w)
+                frontier.append(w)
+    positive = tuple(sorted(found, key=lambda r: (sum(r), r)))
+    # w0 has length |positive|; appending s_i keeps a word reduced exactly
+    # when w(alpha_i) is positive, and some such i exists until w = w0
+    longest: list[int] = []
+    images = simple
+    while len(longest) < len(positive):
+        i = next(i for i in range(1, rank + 1) if _is_positive(images[i - 1]))
+        longest.append(i)
+        images = _step(matrix, images, i)
+    return _RootData(matrix, simple, positive, tuple(longest))
+
+
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
+    for i in word:
+        if i not in range(1, rank + 1):
+            raise RootSystemError(f"letter {i} out of range for rank {rank}")
+    data = _root_data(type_letter, rank)
+    images = data.simple
+    betas = []
+    for i in word:
+        beta = images[i - 1]
+        if not _is_positive(beta):
+            return _WordData(False, (), (), ())
+        betas.append(beta)
+        images = _step(data.cartan, images, i)
+    # beta_k = beta_a + beta_b with a < k < b; each a fixes b, so a scan of a
+    # gives the pairs in order, and a pair is minimal when no later a has a
+    # smaller b
+    position = {beta: b for b, beta in enumerate(betas, start=1)}
+    pairs = []
+    for k, target in enumerate(betas, start=1):
+        found = []
+        for a in range(1, k):
+            b = position.get(tuple(x - y for x, y in zip(target, betas[a - 1])))
+            if b is not None and b > k:
+                found.append((a, b))
+        pairs.append(
+            tuple(
+                (a, b)
+                for n, (a, b) in enumerate(found)
+                if all(b2 >= b for _, b2 in found[n + 1 :])
+            )
+        )
+    return _WordData(True, tuple(betas), tuple(pairs), images)
 
 
 @dataclass(frozen=True)
@@ -85,15 +189,13 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         if i not in self.nodes:
             raise RootSystemError(f"node {i} out of range for rank {self.rank}")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+        return _root_data(self.type_letter, self.rank).simple[i - 1]
 
     def reflect(self, i: int, v: Root) -> Root:
         """Simple reflection s_i acting on a root-lattice vector."""
-        c = self.cartan_matrix
-        pairing = sum(c[i - 1][j] * v[j] for j in range(self.rank))
-        return tuple(
-            v[j] - pairing if j == i - 1 else v[j] for j in range(self.rank)
-        )
+        if i not in self.nodes:
+            raise RootSystemError(f"node {i} out of range for rank {self.rank}")
+        return _reflect(_root_data(self.type_letter, self.rank).cartan[i - 1], i, v)
 
     def act(self, word: Word, v: Root) -> Root:
         """Apply s_{i_1} ... s_{i_m} to v (leftmost letter acts last)."""
@@ -101,11 +203,19 @@ class RootSystem:
             v = self.reflect(i, v)
         return v
 
+    def simple_roots(self) -> tuple[Root, ...]:
+        """alpha_1 .. alpha_n, the images of the simple roots under the identity."""
+        return _root_data(self.type_letter, self.rank).simple
+
+    def extend_images(self, images: tuple[Root, ...], i: int) -> tuple[Root, ...]:
+        """Images of the simple roots under w s_i, from their images under w."""
+        return _step(_root_data(self.type_letter, self.rank).cartan, images, i)
+
     def positive_roots(self) -> tuple[Root, ...]:
-        return _positive_roots(self.type_letter, self.rank)
+        return _root_data(self.type_letter, self.rank).positive
 
     def is_positive(self, v: Root) -> bool:
-        return any(x > 0 for x in v) and all(x >= 0 for x in v)
+        return _is_positive(v)
 
     def length(self, word: Word) -> int:
         """Coxeter length of the product, counted through inversions."""
@@ -113,9 +223,11 @@ class RootSystem:
             1 for beta in self.positive_roots() if not self.is_positive(self.act(word, beta))
         )
 
+    def _analysis(self, word: Word) -> _WordData:
+        return _word_data(self.type_letter, self.rank, tuple(word))
+
     def is_reduced(self, word: Word) -> bool:
-        self._check_word(word)
-        return self.length(word) == len(word)
+        return self._analysis(word).reduced
 
     def number_of_positive_roots(self) -> int:
         return len(self.positive_roots())
@@ -126,26 +238,24 @@ class RootSystem:
         For a reduced word of w0 this lists all positive roots once, in the
         convex order attached to the word.
         """
-        if not self.is_reduced(word):
+        analysis = self._analysis(word)
+        if not analysis.reduced:
             raise RootSystemError(f"word {word} is not reduced")
-        betas = []
-        for k in range(len(word)):
-            betas.append(self.act(word[:k], self.simple_root(word[k])))
-        return tuple(betas)
+        return analysis.betas
 
     def spells_longest(self, word: Word) -> bool:
-        return self.is_reduced(word) and len(word) == self.number_of_positive_roots()
+        analysis = self._analysis(word)
+        return analysis.reduced and len(analysis.betas) == self.number_of_positive_roots()
 
     def longest_word(self) -> Word:
         """A canonical reduced word of w0 (greedy, smallest descent first)."""
-        return _longest_word(self.type_letter, self.rank)
+        return _root_data(self.type_letter, self.rank).longest
 
     def star(self, i: int) -> int:
         """The node i* with w0(alpha_i) = -alpha_{i*}; an involution."""
         if i not in self.nodes:
             raise RootSystemError(f"node {i} out of range for rank {self.rank}")
-        w0 = self.longest_word()
-        image = self.act(w0, self.simple_root(i))
+        image = self._analysis(self.longest_word()).images[i - 1]
         neg = tuple(-x for x in image)
         for j in self.nodes:
             if neg == self.simple_root(j):
@@ -171,17 +281,7 @@ class RootSystem:
         betas = self.beta_sequence(word)
         if not 1 <= k <= len(betas):
             raise RootSystemError(f"index {k} out of range")
-        target = betas[k - 1]
-        pairs = []
-        for a, b in combinations(range(1, len(betas) + 1), 2):
-            if a < k < b and _add(betas[a - 1], betas[b - 1]) == target:
-                pairs.append((a, b))
-        minimal = [
-            (a, b)
-            for (a, b) in pairs
-            if not any(a < a2 and b2 < b for (a2, b2) in pairs)
-        ]
-        return tuple(minimal)
+        return self._analysis(word).pairs[k - 1]
 
     def reduced_words_of_longest(self) -> Iterator[Word]:
         """All reduced words of w0.  Guarded: rank must be <= 4."""
@@ -191,62 +291,15 @@ class RootSystem:
             )
         target = self.number_of_positive_roots()
 
-        def grow(word: tuple[int, ...], image: dict[int, Root]) -> Iterator[Word]:
-            # image[i] = (s_{i_1}...s_{i_m})(alpha_i); appending s_i keeps the
-            # word reduced exactly when that vector is still positive.
+        def grow(word: Word, images: tuple[Root, ...]) -> Iterator[Word]:
+            # images[i - 1] = w(alpha_i) for the word w; appending s_i keeps
+            # the word reduced exactly when that vector is still positive.
             if len(word) == target:
                 yield word
                 return
             for i in self.nodes:
-                if self.is_positive(image[i]):
-                    new_image = {
-                        j: self.act(word + (i,), self.simple_root(j)) for j in self.nodes
-                    }
-                    yield from grow(word + (i,), new_image)
+                if _is_positive(images[i - 1]):
+                    yield from grow(word + (i,), self.extend_images(images, i))
 
-        start = {i: self.simple_root(i) for i in self.nodes}
-        yield from grow((), start)
+        yield from grow((), self.simple_roots())
 
-    def _check_word(self, word: Word) -> None:
-        for i in word:
-            if i not in self.nodes:
-                raise RootSystemError(f"letter {i} out of range for rank {self.rank}")
-
-
-def _add(u: Root, v: Root) -> Root:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-@lru_cache(maxsize=None)
-def _positive_roots(type_letter: str, rank: int) -> tuple[Root, ...]:
-    # Closure of the simple roots under simple reflections, keeping positives.
-    rs = RootSystem(type_letter, rank)
-    found = {rs.simple_root(i) for i in rs.nodes}
-    frontier = list(found)
-    while frontier:
-        v = frontier.pop()
-        for i in rs.nodes:
-            w = rs.reflect(i, v)
-            if rs.is_positive(w) and w not in found:
-                found.add(w)
-                frontier.append(w)
-    return tuple(sorted(found, key=lambda r: (sum(r), r)))
-
-
-@lru_cache(maxsize=None)
-def _longest_word(type_letter: str, rank: int) -> Word:
-    rs = RootSystem(type_letter, rank)
-    word: list[int] = []
-    image = {i: rs.simple_root(i) for i in rs.nodes}
-    total = rs.number_of_positive_roots()
-    while len(word) < total:
-        for i in rs.nodes:
-            if rs.is_positive(image[i]):
-                word.append(i)
-                image = {
-                    j: rs.act(tuple(word), rs.simple_root(j)) for j in rs.nodes
-                }
-                break
-        else:  # pragma: no cover
-            raise RootSystemError("stuck before reaching the longest element")
-    return tuple(word)

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from qaffpbw.cli import run
+from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, run
+
+Q_A2 = '{"xi":{"1":0,"2":1}}'
 
 
 def invoke(capsys, *argv):
@@ -208,6 +211,21 @@ def test_domain_error_exit_code(capsys):
         (("compare", "--a", '{"support":[1]}', "--b", '{"support":{}}'), "support"),
         (("phi", "--type", "A2^1", "--q", '{"xi":[0,1]}'), "xi"),
         (("check-strong", "--type", "A2^1", "--datum", "[]"), "datum"),
+        (
+            ("check-strong", "--type", "A2^1", "--datum", '{"affine":"A2^1","members":{"1":5}}'),
+            "members",
+        ),
+        (("decompose", "--type", "A2^1", "--q", Q_A2, "--multiset", "[1]"), "multiset"),
+        (("sigma-quiver", "--type", "A2^1", "--window", "0..4", "--denoms", "[1]"), "denominator"),
+        (("phi", "--type", "A2^1", "--q", '{"xi":{"1":[0],"2":1}}'), "xi"),
+        (("reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--facts", "[1]"), "facts"),
+        (
+            (
+                "cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", "--range", "1..3",
+                "--facts", '{"facts":[{"head":[[1,0],[1]],"eq":[2,1]}]}',
+            ),
+            "head",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
@@ -215,6 +233,29 @@ def test_malformed_payload_is_a_domain_error(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert field in json.loads(err)["error"]
+
+
+def _sized(flag: str, size: int) -> tuple[str, ...]:
+    span = f"-5..{size - 6}"
+    if flag == "--range":
+        return ("cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", f"--range={span}")
+    if flag == "--window":
+        return ("sigma-quiver", "--type", "A2^1", f"--window={span}")
+    return ("reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--times", str(size))
+
+
+@pytest.mark.parametrize(
+    "flag, limit", [("--range", MAX_RANGE), ("--window", MAX_WINDOW), ("--times", MAX_TIMES)]
+)
+def test_oversized_requests_fail_at_once(capsys, flag, limit):
+    code, out, _ = invoke(capsys, *_sized(flag, limit))
+    assert code == 0 and out
+    for size in (limit + 1, 10**8):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *_sized(flag, size))
+        assert (code, out) == (1, "")
+        assert flag in json.loads(err)["error"]
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])

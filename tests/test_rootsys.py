@@ -57,6 +57,15 @@ def test_is_reduced():
     assert rs3.is_reduced((1, 3, 2, 1, 3, 2))
 
 
+def test_reflect_rejects_unknown_node():
+    # node 0 used to read the last Cartan row and act as the identity
+    rs = RootSystem("A", 3)
+    with pytest.raises(RootSystemError):
+        rs.reflect(0, (1, 0, 0))
+    with pytest.raises(RootSystemError):
+        rs.length((0,))
+
+
 def test_star_by_brute_force():
     # oracle: w0(alpha_i) = -alpha_{i*} computed from the full w0 action
     assert RootSystem("A", 2).star(1) == 2

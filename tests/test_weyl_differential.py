@@ -1,0 +1,142 @@
+"""The cached word analysis of ``rootsys`` against the routes it replaced.
+
+``is_reduced``, ``beta_sequence``, ``minimal_pairs`` and ``star`` read one
+incremental pass over each word.  Here each is checked against its
+definition, computed with ``RootSystem.act`` prefix by prefix: the inversion
+count ``length``, the prefix images of the simple roots, the O(l^2) scan
+over all pairs and the full action of w0.  The words are every reduced word
+of w0 at rank <= 3, the greedy word of w0 and seeded random words (reduced
+or not, of w0 or shorter).
+
+``data/l0_frozen.json`` holds ``longest_word``, the first 50
+``reduced_words_of_longest`` and ``some_adapted_word`` on every height
+function as the implementation before the word analysis gave them, computed
+by ``frozen_outputs`` below on that implementation.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from itertools import combinations, islice
+from pathlib import Path
+
+import pytest
+
+from qaffpbw import qdata
+from qaffpbw.rootsys import RootSystem, RootSystemError
+
+FROZEN = Path(__file__).resolve().parent / "data" / "l0_frozen.json"
+
+TYPES = [("A", n) for n in range(1, 8)] + [("D", 4), ("D", 5), ("E", 6)]
+LONGEST_ONLY = [("E", 7), ("E", 8)]
+RANDOM_WORDS = 150
+
+
+def reference_betas(rs: RootSystem, word) -> tuple:
+    return tuple(rs.act(word[:k], rs.simple_root(word[k])) for k in range(len(word)))
+
+
+def reference_minimal_pairs(betas) -> list[tuple]:
+    """The minimal pairs of every beta_k, by a scan over all pairs a < b."""
+    sums = [
+        (a, b, tuple(x + y for x, y in zip(betas[a - 1], betas[b - 1])))
+        for a, b in combinations(range(1, len(betas) + 1), 2)
+    ]
+    out = []
+    for k in range(1, len(betas) + 1):
+        pairs = [(a, b) for a, b, s in sums if a < k < b and s == betas[k - 1]]
+        out.append(
+            tuple((a, b) for a, b in pairs if not any(a < a2 and b2 < b for a2, b2 in pairs))
+        )
+    return out
+
+
+def random_words(rs: RootSystem, seed: str) -> list[tuple[int, ...]]:
+    """Words grown by random ascents, half of them with one random letter
+    inserted; a third run to the length of w0."""
+    rng = random.Random(seed)
+    ell = rs.number_of_positive_roots()
+    words = []
+    for n in range(RANDOM_WORDS):
+        target = ell if n % 3 == 0 else rng.randint(0, ell)
+        word: tuple[int, ...] = ()
+        images = rs.simple_roots()
+        while len(word) < target:
+            i = rng.choice([i for i in rs.nodes if rs.is_positive(images[i - 1])])
+            word, images = word + (i,), rs.extend_images(images, i)
+        if n % 2:
+            at = rng.randint(0, len(word))
+            word = word[:at] + (rng.choice(rs.nodes),) + word[at:]
+        words.append(word)
+    return words
+
+
+def words_of(type_letter: str, rank: int) -> list[tuple[int, ...]]:
+    rs = RootSystem(type_letter, rank)
+    words = [rs.longest_word()]
+    if rank <= 3:
+        words += list(rs.reduced_words_of_longest())
+    return words + random_words(rs, f"{type_letter}{rank}")
+
+
+def check_word(rs: RootSystem, word) -> bool:
+    reduced = rs.length(word) == len(word)
+    assert rs.is_reduced(word) is reduced, word
+    assert rs.spells_longest(word) is (reduced and len(word) == rs.number_of_positive_roots())
+    if not reduced:
+        with pytest.raises(RootSystemError):
+            rs.beta_sequence(word)
+        with pytest.raises(RootSystemError):
+            rs.minimal_pairs(word, 1)
+        return False
+    betas = reference_betas(rs, word)
+    assert rs.beta_sequence(word) == betas, word
+    for k, pairs in enumerate(reference_minimal_pairs(betas), start=1):
+        assert rs.minimal_pairs(word, k) == pairs, (word, k)
+    return True
+
+
+@pytest.mark.parametrize("type_letter, rank", TYPES, ids=lambda v: str(v))
+def test_word_analysis_matches_the_prefix_definitions(type_letter, rank):
+    rs = RootSystem(type_letter, rank)
+    outcomes = [check_word(rs, word) for word in words_of(type_letter, rank)]
+    # the sample reaches both branches of the reducedness test
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("type_letter, rank", LONGEST_ONLY, ids=lambda v: str(v))
+def test_word_analysis_of_the_longest_word(type_letter, rank):
+    rs = RootSystem(type_letter, rank)
+    assert check_word(rs, rs.longest_word())
+
+
+@pytest.mark.parametrize("type_letter, rank", TYPES + LONGEST_ONLY, ids=lambda v: str(v))
+def test_star_matches_the_action_of_w0(type_letter, rank):
+    rs = RootSystem(type_letter, rank)
+    w0 = rs.longest_word()
+    for i in rs.nodes:
+        image = rs.act(w0, rs.simple_root(i))
+        assert tuple(-x for x in image) == rs.simple_root(rs.star(i))
+
+
+def frozen_outputs() -> dict:
+    out: dict = {"longest_word": {}, "reduced_words_of_longest": {}, "some_adapted_word": {}}
+    for type_letter, rank in TYPES + [("A", 8)] + LONGEST_ONLY:
+        rs = RootSystem(type_letter, rank)
+        out["longest_word"][f"{type_letter}{rank}"] = list(rs.longest_word())
+    for type_letter, rank in [("A", 3), ("A", 4), ("D", 4)]:
+        words = islice(RootSystem(type_letter, rank).reduced_words_of_longest(), 50)
+        out["reduced_words_of_longest"][f"{type_letter}{rank}"] = [list(w) for w in words]
+    for type_letter, rank in [("A", 4), ("D", 4)]:
+        out["some_adapted_word"][f"{type_letter}{rank}"] = {
+            ",".join(map(str, h)): list(
+                qdata.some_adapted_word(qdata.QDatum(type_letter, rank, h))
+            )
+            for h in qdata.all_height_functions(type_letter, rank)
+        }
+    return out
+
+
+def test_word_searches_match_the_frozen_outputs():
+    assert frozen_outputs() == json.loads(FROZEN.read_text())
