@@ -63,11 +63,18 @@ class SigmaPoint(NamedTuple):
 
 
 def json_int(value, field: str) -> int:
-    """``int(value)`` for a field of a JSON payload; a ValueError naming it otherwise."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{field} must be an integer, got {value!r}") from err
+    """``int(value)`` for a field of a JSON payload; a ValueError naming it otherwise.
+
+    Integer strings pass (split ``"i,j"`` keys arrive as strings); booleans
+    and floats with a fractional part, which ``int`` would take or truncate,
+    do not.
+    """
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def point_from_json(value, field: str) -> SigmaPoint:

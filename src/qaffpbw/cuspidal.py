@@ -61,13 +61,20 @@ def cuspidal_expr(rs: RootSystem, word: Word, k: int) -> CuspExpr:
         raise RootSystemError("word does not spell the longest element")
     if not 1 <= k <= len(word):
         raise RootSystemError(f"index {k} outside 1..{len(word)}")
-    betas = rs.beta_sequence(word)
-    if sum(betas[k - 1]) == 1:
-        # beta_k = alpha_j: the cuspidal label is the letter module L(j)
-        return Letter(betas[k - 1].index(1) + 1)
-    pairs = rs.minimal_pairs(word, k)
-    a, b = min(pairs)  # deterministic tie-break: smallest left index
+    step = _recursion_step(rs, word, k)
+    if isinstance(step, int):
+        return Letter(step)
+    a, b = step
     return Conv(cuspidal_expr(rs, word, a), cuspidal_expr(rs, word, b))
+
+
+def _recursion_step(rs: RootSystem, word: Word, k: int) -> int | tuple[int, int]:
+    """The node j when beta_k = alpha_j (the letter module L(j)), otherwise
+    the minimal pair (a, b) of beta_k the recursion takes."""
+    beta = rs.beta_sequence(word)[k - 1]
+    if sum(beta) == 1:
+        return beta.index(1) + 1
+    return min(rs.minimal_pairs(word, k))  # deterministic tie-break: smallest left index
 
 
 def _word_root_system(datum: DualityDatum) -> RootSystem:
@@ -110,13 +117,6 @@ class CuspidalSeq:
     def info(self):
         return self.datum.info
 
-    def _evaluate(self, expr: CuspExpr) -> Expr:
-        if isinstance(expr, Letter):
-            return self.datum.member(expr.node)
-        left = self._evaluate(expr.left)
-        right = self._evaluate(expr.right)
-        return modexpr.head(self.info, [left, right], self.facts)
-
     def materialize(self, k: int) -> Expr:
         with self._lock:
             hit = self._memo.get(k)
@@ -124,10 +124,17 @@ class CuspidalSeq:
             return hit
         shift, k0 = divmod(k - 1, self.ell)
         k0 += 1
-        if shift == 0:
-            value = self._evaluate(cuspidal_expr(self.rs, self.word, k0))
-        else:
+        if shift:
             value = modexpr.dual(self.info, self.materialize(k0), shift, self.facts)
+        else:
+            step = _recursion_step(self.rs, self.word, k0)
+            if isinstance(step, int):
+                value = self.datum.member(step)
+            else:
+                a, b = step
+                value = modexpr.head(
+                    self.info, [self.materialize(a), self.materialize(b)], self.facts
+                )
         with self._lock:
             self._memo[k] = value
         return value
@@ -161,6 +168,18 @@ class FundamentalCuspidalSeq:
         mapping = qdata.phi(q, self.word)
         betas = self.rs.beta_sequence(self.word)
         self._base = [mapping[b] for b in betas]  # S_1 .. S_l
+        # S_{s + m*l} = D^m(S_s) repeats its node with period 2 in m, so the
+        # labels D^e(S_s), e in {0, 1}, keyed by (node, power mod 2h) find
+        # every S_k at a given label
+        h = info.dual_shift_exponent
+        self._index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        if h is not None:
+            for s, base in enumerate(self._base, start=1):
+                for e in (0, 1):
+                    node, power = dual_point(info, base, e)
+                    self._index.setdefault((node, power % (2 * h)), []).append(
+                        (s, e, power)
+                    )
 
     def label(self, k: int):
         shift, k0 = divmod(k - 1, self.ell)
@@ -179,14 +198,11 @@ class FundamentalCuspidalSeq:
             raise duality_mod.DualityError(
                 f"{self.info.name}: labels do not form a single (-q)-lattice"
             )
-        hits = []
-        for s, base in enumerate(self._base, start=1):
-            delta = point.power - base.power
-            if delta % h:
-                continue
-            m = delta // h
-            if dual_point(self.info, base, m) == point:
-                hits.append(s + m * self.ell)
+        period = 2 * h
+        hits = [
+            s + (e + 2 * ((point.power - power) // period)) * self.ell
+            for s, e, power in self._index.get((point.node, point.power % period), ())
+        ]
         if len(hits) != 1:
             raise duality_mod.DualityError(
                 f"label {point} is covered {len(hits)} times; "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import invariants
-from .affine import SigmaPoint, dual_point, point_from_json
+from .affine import SigmaPoint, dual_point, json_int, point_from_json
 from .modexpr import Expr, Fund
 
 __all__ = [
@@ -88,27 +88,29 @@ class ExpVec:
         return self.entries[0][0]
 
 
-def _diff_indices(a: ExpVec, b: ExpVec) -> list[int]:
-    keys = sorted(set(a.support) | set(b.support))
-    return [k for k in keys if a[k] != b[k]]
+def _first_difference(a_entries, b_entries, ascending: bool) -> int:
+    """Sign of a - b at the first index, in walk order, where they differ.
+
+    Both entry runs are sorted the same way (ascending or descending).  Of two
+    different indices the one met first is zero in the other vector, so the
+    vector holding it is greater there.
+    """
+    for (ka, va), (kb, vb) in zip(a_entries, b_entries):
+        if ka != kb:
+            return 1 if (ka < kb) == ascending else -1
+        if va != vb:
+            return -1 if va < vb else 1
+    return (len(a_entries) > len(b_entries)) - (len(a_entries) < len(b_entries))
 
 
 def cmp_left(a: ExpVec, b: ExpVec) -> int:
     """Total order by the smallest index where the vectors differ."""
-    diffs = _diff_indices(a, b)
-    if not diffs:
-        return 0
-    k = diffs[0]
-    return -1 if a[k] < b[k] else 1
+    return _first_difference(a.entries, b.entries, True)
 
 
 def cmp_right(a: ExpVec, b: ExpVec) -> int:
     """Total order by the largest index where the vectors differ."""
-    diffs = _diff_indices(a, b)
-    if not diffs:
-        return 0
-    k = diffs[-1]
-    return -1 if a[k] < b[k] else 1
+    return _first_difference(a.entries[::-1], b.entries[::-1], False)
 
 
 def cmp_bilex(a: ExpVec, b: ExpVec) -> Cmp:
@@ -201,7 +203,10 @@ def expvec_from_json(doc: str | dict) -> ExpVec:
         raise ValueError(
             f"exponent vector field 'support' must be an object: {data!r}"
         )
-    return ExpVec.from_dict({int(k): int(v) for k, v in support.items()})
+    field = "exponent vector field 'support'"
+    return ExpVec.from_dict(
+        {json_int(k, f"{field} key"): json_int(v, f"{field} entry {k}") for k, v in support.items()}
+    )
 
 
 def multiset_to_json(points) -> list:

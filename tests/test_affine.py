@@ -223,3 +223,12 @@ def test_d_counts_arrows_both_ways():
     for x in vertices:
         for y in vertices:
             assert d_fund(A2, x, y) == mult.get((x, y), 0) + mult.get((y, x), 0)
+
+
+def test_json_int_takes_integers_only():
+    assert affine.json_int("3", "f") == 3
+    assert affine.json_int(-2, "f") == -2
+    assert affine.json_int(2.0, "f") == 2
+    for bad in (True, False, 1.5, float("inf"), float("nan"), "1.5", "x", None, [1]):
+        with pytest.raises(ValueError, match="f must be an integer"):
+            affine.json_int(bad, "f")

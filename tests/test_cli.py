@@ -226,6 +226,13 @@ def test_domain_error_exit_code(capsys):
             ),
             "head",
         ),
+        (("compare", "--a", '{"support":{"1":[1]}}', "--b", '{"support":{"1":1}}'), "support"),
+        (("compare", "--a", '{"support":{"1":1.5}}', "--b", '{"support":{"1":1}}'), "support"),
+        (("compare", "--a", '{"support":{"1":true}}', "--b", '{"support":{"1":1}}'), "support"),
+        (("compare", "--a", '{"support":{"x":1}}', "--b", '{"support":{"1":1}}'), "support"),
+        (("phi", "--type", "A2^1", "--q", '{"xi":{"1":0,"2":true}}'), "xi"),
+        (("decompose", "--type", "A2^1", "--q", Q_A2, "--multiset", "[[1,0.5]]"), "multiset"),
+        (("decompose", "--type", "A2^1", "--q", Q_A2, "--multiset", "[[1,Infinity]]"), "multiset"),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):

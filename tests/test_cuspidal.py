@@ -223,3 +223,30 @@ def test_concurrent_materialization():
         results = list(pool.map(seq.materialize, list(range(-20, 40)) * 4))
     reference = [seq.materialize(k) for k in list(range(-20, 40)) * 4]
     assert results == reference
+
+
+def _evaluate_letters(seq: CuspidalSeq, expr):
+    """The letter tree of cuspidal_expr with heads taken bottom-up: the route
+    materialize used before it read its own memo for the two factors."""
+    from qaffpbw import modexpr
+
+    if isinstance(expr, Letter):
+        return seq.datum.member(expr.node)
+    left, right = _evaluate_letters(seq, expr.left), _evaluate_letters(seq, expr.right)
+    return modexpr.head(seq.info, [left, right], seq.facts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_materialize_matches_letter_tree(n):
+    from qaffpbw import qdata
+
+    info = type_info(f"A{n}^1")
+    for heights in list(qdata.all_height_functions("A", n))[:4]:
+        q = QDatum("A", n, heights)
+        datum = duality.from_q_datum(info, q)
+        for word in (qdata.some_adapted_word(q), q.root_system.longest_word()):
+            for facts in (None, FusionTable.builtin(info)):
+                seq = CuspidalSeq(datum, word, facts)
+                for k in range(1, seq.ell + 1):
+                    expected = _evaluate_letters(seq, cuspidal_expr(seq.rs, word, k))
+                    assert seq.materialize(k) == expected, (heights, word, k)

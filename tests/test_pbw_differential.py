@@ -1,0 +1,194 @@
+"""The linear exponent-vector comparators and the sigma0 index against the
+scans they replaced.
+
+``cmp_left``/``cmp_right`` walk the two sorted entry tuples in step and stop
+at the first difference; ``reference_cmp`` below is the union-of-supports
+scan they replaced.  ``FundamentalCuspidalSeq.index_of`` reads a dict keyed
+by (node, power mod 2h); ``reference_index_of`` is the per-base
+``dual_point`` scan it replaced, with the same error text.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from qaffpbw import pbw, qdata
+from qaffpbw.affine import SigmaPoint, dual_point, type_info
+from qaffpbw.cuspidal import FundamentalCuspidalSeq
+from qaffpbw.duality import DualityError
+from qaffpbw.pbw import Cmp, ExpVec
+from qaffpbw.qdata import QDatum
+
+PAIRS_PER_KIND = 1000
+HEIGHTS_PER_TYPE = 5
+POWERS = range(-30, 31)
+
+
+def reference_cmp(a: ExpVec, b: ExpVec, from_right: bool) -> int:
+    da, db = dict(a.entries), dict(b.entries)
+    diffs = [k for k in sorted(set(da) | set(db)) if da.get(k, 0) != db.get(k, 0)]
+    if not diffs:
+        return 0
+    k = diffs[-1] if from_right else diffs[0]
+    return -1 if da.get(k, 0) < db.get(k, 0) else 1
+
+
+def reference_bilex(a: ExpVec, b: ExpVec) -> Cmp:
+    left, right = reference_cmp(a, b, False), reference_cmp(a, b, True)
+    if left == 0:
+        return Cmp.EQUAL
+    if left == right:
+        return Cmp.LESS if left < 0 else Cmp.GREATER
+    return Cmp.INCOMPARABLE
+
+
+def _random_vec(rng: random.Random, indices) -> ExpVec:
+    return ExpVec.from_dict({k: rng.randint(1, 3) for k in indices})
+
+
+def _support(rng: random.Random, size: int) -> list[int]:
+    return rng.sample(range(-15, 16), size)
+
+
+def _pair(rng: random.Random, kind: str) -> tuple[ExpVec, ExpVec]:
+    a = _random_vec(rng, _support(rng, rng.randint(1, 10)))
+    if kind == "random":
+        return a, _random_vec(rng, _support(rng, rng.randint(0, 10)))
+    if kind == "empty":
+        return a, ExpVec(())
+    if kind == "prefix":
+        return a, ExpVec(a.entries[: rng.randrange(len(a.entries) + 1)])
+    if kind == "suffix":
+        return a, ExpVec(a.entries[rng.randrange(len(a.entries) + 1) :])
+    if kind == "same-support":
+        return a, _random_vec(rng, a.support)
+    if kind == "disjoint":
+        rest = [k for k in range(-15, 16) if k not in a.support]
+        return a, _random_vec(rng, rng.sample(rest, rng.randint(1, 10)))
+    raise ValueError(kind)
+
+
+KINDS = ("random", "empty", "prefix", "suffix", "same-support", "disjoint")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_comparators_match_union_scan(kind):
+    rng = random.Random(f"pbw-cmp-{kind}")
+    outcomes = set()
+    for _ in range(PAIRS_PER_KIND):
+        a, b = _pair(rng, kind)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert pbw.cmp_left(x, y) == reference_cmp(x, y, False), (x, y)
+            assert pbw.cmp_right(x, y) == reference_cmp(x, y, True), (x, y)
+            verdict = pbw.cmp_bilex(x, y)
+            assert verdict is reference_bilex(x, y), (x, y)
+            outcomes.add(verdict)
+    # (a, a) gives EQUAL; every kind must also reach a strict order
+    assert Cmp.EQUAL in outcomes and (Cmp.LESS in outcomes or Cmp.GREATER in outcomes)
+
+
+def test_comparators_on_empty_vectors():
+    zero = ExpVec(())
+    assert pbw.cmp_left(zero, zero) == pbw.cmp_right(zero, zero) == 0
+    assert pbw.cmp_bilex(zero, ExpVec(((3, 1),))) is Cmp.LESS
+
+
+def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
+    h = seq.info.dual_shift_exponent
+    if h is None:
+        raise DualityError(f"{seq.info.name}: labels do not form a single (-q)-lattice")
+    hits = []
+    for s, base in enumerate(seq._base, start=1):
+        delta = point.power - base.power
+        if delta % h:
+            continue
+        m = delta // h
+        if dual_point(seq.info, base, m) == point:
+            hits.append(s + m * seq.ell)
+    if len(hits) != 1:
+        raise DualityError(
+            f"label {point} is covered {len(hits)} times; "
+            "expected a bijective cuspidal sequence"
+        )
+    return hits[0]
+
+
+def _outcome(index_of, point):
+    try:
+        return index_of(point)
+    except DualityError as err:
+        return f"DualityError: {err}"
+
+
+def _assert_index_matches(seq: FundamentalCuspidalSeq, nodes) -> set:
+    """Compare every (i, p) with i in nodes and p in POWERS; the labels found."""
+    found = set()
+    for i in nodes:
+        for p in POWERS:
+            point = SigmaPoint(i, p)
+            got = _outcome(seq.index_of, point)
+            assert got == _outcome(lambda x: reference_index_of(seq, x), point), point
+            if isinstance(got, int):
+                assert seq.label(got) == point
+                found.add(point)
+    return found
+
+
+def _sequences(letter: str, rank: int):
+    info = type_info(f"{letter}{rank}^1")
+    heights = list(qdata.all_height_functions(letter, rank))
+    picks = heights[:HEIGHTS_PER_TYPE] + heights[-1:] if len(heights) > 1 else heights
+    for xi in picks:
+        for base in (0, 1):
+            q = QDatum(letter, rank, tuple(x + base for x in xi))
+            yield FundamentalCuspidalSeq(info, q, qdata.some_adapted_word(q))
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_index_of_matches_per_base_scan(rank):
+    for seq in _sequences("A", rank):
+        # nodes 0 and rank + 1 are outside the diagram, and the powers of the
+        # wrong parity for a node are off sigma0: both give the error text
+        found = _assert_index_matches(seq, range(0, rank + 2))
+        labels = (seq.label(k) for k in range(-40 * seq.ell, 40 * seq.ell))
+        assert found == {x for x in labels if x.power in POWERS}
+
+
+@pytest.mark.parametrize("letter, rank", [("D", 4), ("E", 6)])
+def test_index_of_matches_per_base_scan_beyond_type_a(letter, rank):
+    for seq in _sequences(letter, rank):
+        _assert_index_matches(seq, range(0, rank + 2))
+
+
+def test_index_of_without_a_single_lattice():
+    q = QDatum("A", 2, (0, 1))
+    seq = FundamentalCuspidalSeq(type_info("B2^1"), q, qdata.some_adapted_word(q))
+    for point in (SigmaPoint(1, 0), SigmaPoint(2, 1)):
+        got = _outcome(seq.index_of, point)
+        assert got == _outcome(lambda x: reference_index_of(seq, x), point)
+        assert "single (-q)-lattice" in got
+
+
+def test_repeated_base_label_is_covered_twice(monkeypatch):
+    q = QDatum("A", 2, (0, 1))
+    word = qdata.some_adapted_word(q)
+    real_phi = qdata.phi
+
+    def repeating_phi(q, word):
+        mapping = real_phi(q, word)
+        first, second = q.root_system.beta_sequence(word)[:2]
+        return {**mapping, second: mapping[first]}
+
+    monkeypatch.setattr(qdata, "phi", repeating_phi)
+    seq = FundamentalCuspidalSeq(type_info("A2^1"), q, word)
+    assert seq._base[0] == seq._base[1]
+    point = seq._base[0]
+    with pytest.raises(DualityError, match="covered 2 times"):
+        seq.index_of(point)
+    with pytest.raises(DualityError, match="covered 2 times"):
+        seq.index_of(dual_point(seq.info, point, -3))
+    assert _outcome(seq.index_of, point) == _outcome(
+        lambda x: reference_index_of(seq, x), point
+    )
