@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import rootsys
@@ -232,7 +233,6 @@ class AffineTypeInfo:
     marks_sum: int  # <rho_v, delta>
     comarks_sum: int  # <c, rho>
     star_map: tuple[int, ...]  # star_map[i-1] = i* on I0
-    sigma_parity: Callable[[int, int], bool] | None = field(compare=False)
 
     @property
     def dual_shift_exponent(self) -> int | None:
@@ -247,13 +247,11 @@ class AffineTypeInfo:
         return self.star_map[i - 1]
 
     def in_sigma0(self, point: SigmaPoint) -> bool:
-        if self.sigma_parity is None:
-            raise NoProviderError(
-                f"{self.name}: the sigma0 lattice is only built in for A_n^(1)"
-            )
-        if not 1 <= point.node <= self.rank:
+        base, period = _sigma0_lattice(self)
+        if point.node not in base:
             return False
-        return self.sigma_parity(point.node, point.power)
+        gap = point.power - base[point.node]
+        return gap % period == 0 if period else gap == 0
 
     def sigma0_points(self, lo: int, hi: int) -> tuple[SigmaPoint, ...]:
         """All sigma0 labels with exponent in [lo, hi]."""
@@ -295,9 +293,6 @@ def type_info(name: str) -> AffineTypeInfo:
     transposed = [list(col) for col in zip(*gcm)]
     comarks = kernel_primitive(transposed)  # left null vector: c coefficients
     fin = _FIN_TYPE[(letter, twist)](sub if twist > 1 else rank)
-    parity = None
-    if letter == "A" and twist == 1:
-        parity = lambda i, p: (p - i + 1) % 2 == 0  # noqa: E731
     return AffineTypeInfo(
         name=f"{letter}{sub}^{twist}",
         letter=letter,
@@ -308,7 +303,6 @@ def type_info(name: str) -> AffineTypeInfo:
         marks_sum=sum(marks),
         comarks_sum=sum(comarks),
         star_map=_star_map(letter, twist, rank, sub),
-        sigma_parity=parity,
     )
 
 
@@ -379,21 +373,33 @@ def zero_order(info: AffineTypeInfo, i: int, j: int, exponent: int) -> int:
     return sum(1 for m in denom_zeros(info, i, j) if m == exponent)
 
 
-_MAX_ZERO_CACHE: dict[str, int] = {}
+_SIGMA0_LATTICE: dict[str, tuple[dict[int, int], int]] = {}
 
 
-def max_zero_exponent(info: AffineTypeInfo) -> int:
-    cached = _MAX_ZERO_CACHE.get(info.name)
+def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
+    """sigma0 as ({node: base exponent}, period).
+
+    sigma0 is the component of (1, 0) in the graph joining (i, p) to
+    (j, p +- m) for each zero m of d_{i,j} or d_{j,i}.  A BFS over nodes fixes
+    a base exponent per reached node; each edge then closes a cycle drifting
+    by base[i] + m - base[j], so (j, p) lies in sigma0 exactly when p is
+    base[j] modulo the gcd of all drifts (the period, 0 when there is none).
+    The search meets every edge from both ends, which covers the step -m.
+    """
+    cached = _SIGMA0_LATTICE.get(info.name)
     if cached is not None:
         return cached
-    best = 0
-    for i in range(1, info.rank + 1):
+    base, frontier, period = {1: 0}, [1], 0
+    while frontier:
+        i = frontier.pop()
         for j in range(1, info.rank + 1):
-            zero = denom_zeros(info, i, j)
-            if zero:
-                best = max(best, max(abs(m) for m in zero))
-    _MAX_ZERO_CACHE[info.name] = best
-    return best
+            for m in denom_zeros(info, i, j) + denom_zeros(info, j, i):
+                if j not in base:
+                    base[j] = base[i] + m
+                    frontier.append(j)
+                period = gcd(period, base[i] + m - base[j])
+    _SIGMA0_LATTICE[info.name] = base, period
+    return base, period
 
 
 def register_denominator_table(
@@ -406,7 +412,7 @@ def register_denominator_table(
             raise AffineTypeError(f"node pair {(i, j)} out of range for {name}")
         table[(i, j)] = tuple(sorted(int(m) for m in ms))
     _EXTERNAL_TABLES[info.name] = table
-    _MAX_ZERO_CACHE.pop(info.name, None)
+    _SIGMA0_LATTICE.pop(info.name, None)
 
 
 def load_denominator_json(doc: str | dict) -> AffineTypeInfo:
@@ -452,42 +458,18 @@ def sigma_quiver(
     """Vertices and arrows of the sigma0 quiver in an exponent window.
 
     The arrow multiplicity from (i, x) to (j, y) is the order of the zero of
-    d_{i,j} at exponent y - x.
+    d_{i,j} at exponent y - x, so each vertex's arrows come off its zero
+    multisets; they are listed in vertex order of their targets.
     """
-    if lo > hi:
-        return (), ()
-    if info.sigma_parity is not None:
-        vertices = info.sigma0_points(lo, hi)
-    else:
-        vertices = _component_of_base(info, lo, hi)
+    vertices = info.sigma0_points(lo, hi)
+    position = {v: n for n, v in enumerate(vertices)}
     arrows = []
     for src in vertices:
-        for dst in vertices:
-            mult = zero_order(info, src.node, dst.node, dst.power - src.power)
-            if mult:
-                arrows.append((src, dst, mult))
-    return vertices, tuple(arrows)
-
-
-def _component_of_base(info: AffineTypeInfo, lo: int, hi: int) -> tuple[SigmaPoint, ...]:
-    # with only a zero table available, take the connected component of (1,0)
-    # inside a padded window and then restrict
-    pad = max_zero_exponent(info)
-    seen = {SigmaPoint(1, 0)}
-    frontier = [SigmaPoint(1, 0)]
-    while frontier:
-        x = frontier.pop()
+        mult: dict[SigmaPoint, int] = {}
         for j in range(1, info.rank + 1):
-            for m in denom_zeros(info, x.node, j):
-                for sign in (1, -1):
-                    y = SigmaPoint(j, x.power + sign * m)
-                    if lo - pad <= y.power <= hi + pad and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            for m in denom_zeros(info, j, x.node):
-                for sign in (1, -1):
-                    y = SigmaPoint(j, x.power + sign * m)
-                    if lo - pad <= y.power <= hi + pad and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-    return tuple(sorted(p for p in seen if lo <= p.power <= hi))
+            for m in denom_zeros(info, src.node, j):
+                dst = SigmaPoint(j, src.power + m)
+                if dst in position:
+                    mult[dst] = mult.get(dst, 0) + 1
+        arrows += [(src, dst, mult[dst]) for dst in sorted(mult, key=position.get)]
+    return vertices, tuple(arrows)

@@ -19,8 +19,7 @@ from .modexpr import FusionTable
 from .qdata import QDatum
 
 # Largest requests accepted, so that an oversized one fails at once instead of
-# running for minutes: a sigma-quiver window costs about the square of its
-# width (1000 exponents of A8^1 take over 20 s), the other two grow linearly.
+# running for minutes; the cost of all three grows linearly with the request.
 MAX_RANGE = 1000  # labels in a cuspidal --range
 MAX_WINDOW = 200  # exponents in a sigma-quiver --window
 MAX_TIMES = 100  # reflections by --times
@@ -54,6 +53,12 @@ def _point(text: str) -> SigmaPoint:
     return SigmaPoint(i, p)
 
 
+def _fin(text: str) -> tuple[str, int]:
+    if len(text) < 2 or not text[1:].isdigit():
+        raise ValueError(f"--fin must be a finite type such as A3, got {text!r}")
+    return text[0], int(text[1:])
+
+
 def _word(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -66,7 +71,9 @@ def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_qdatum(info, text: str) -> QDatum:
+def _load_qdatum(info, text: str | None) -> QDatum:
+    if text is None:
+        raise qdata.QDatumError("--q is required")
     data = _payload(text)
     if not isinstance(data, dict):
         raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
@@ -84,6 +91,14 @@ def _load_facts(info, args) -> FusionTable:
     return table
 
 
+def _load_datum(info, args) -> duality.DualityDatum:
+    if args.datum:
+        return duality.datum_from_json(_payload(args.datum))
+    if args.q is None:
+        raise qdata.QDatumError("--q or --datum is required")
+    return duality.from_q_datum(info, _load_qdatum(info, args.q))
+
+
 def _maybe_load_denoms(args) -> None:
     if getattr(args, "denoms", None):
         affine.load_denominator_json(_payload(args.denoms))
@@ -98,7 +113,7 @@ def _expr_doc(e) -> dict:
 
 
 def _cmd_roots(args) -> int:
-    rs = rootsys.RootSystem(args.fin[0], int(args.fin[1:]))
+    rs = rootsys.RootSystem(*_fin(args.fin))
     if args.word:
         word = _word(args.word)
         doc = {
@@ -165,10 +180,7 @@ def _cmd_reflect(args) -> int:
     info = type_info(args.type)
     _maybe_load_denoms(args)
     facts = _load_facts(info, args)
-    if args.datum:
-        datum = duality.datum_from_json(_payload(args.datum))
-    else:
-        datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
+    datum = _load_datum(info, args)
     op = duality.reflect_inv if args.inverse else duality.reflect
     for _ in range(args.times):
         datum = op(datum, args.node, facts)
@@ -184,10 +196,7 @@ def _cmd_cuspidal(args) -> int:
     info = type_info(args.type)
     _maybe_load_denoms(args)
     facts = _load_facts(info, args)
-    if args.datum:
-        datum = duality.datum_from_json(_payload(args.datum))
-    else:
-        datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
+    datum = _load_datum(info, args)
     seq = CuspidalSeq(datum, _word(args.word), facts)
     doc = [{"k": k, "label": _expr_doc(seq.materialize(k))} for k in range(lo, hi + 1)]
     _emit(doc, args.format)

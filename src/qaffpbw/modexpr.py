@@ -35,7 +35,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, Sequence
 
-from . import affine, invariants
+from . import invariants
 from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
 
 __all__ = [
@@ -455,14 +455,9 @@ def block_profile(
     )
 
 
-def _probe_window(info: AffineTypeInfo, exprs: Sequence[Expr]) -> tuple[SigmaPoint, ...]:
-    powers = [0]
-    for e in exprs:
-        for point, shift in signed_leaves(e):
-            powers.append(dual_point(info, point, shift).power)
-    h = info.dual_shift_exponent or 1
-    pad = affine.max_zero_exponent(info) + 2 * h
-    return info.sigma0_points(min(powers) - pad, max(powers) + pad)
+def _probe_window(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
+    # Lambda_inf(x, D y) = -Lambda_inf(x, y), and each D-orbit of sigma0 meets 0..h-1 once
+    return info.sigma0_points(0, (info.dual_shift_exponent or 1) - 1)
 
 
 def equal(
@@ -482,7 +477,7 @@ def equal(
         isinstance(n1, Fund) or isinstance(n2, Fund)
     ):
         return Verdict.DISTINCT
-    probes = _probe_window(info, (n1, n2))
+    probes = _probe_window(info)
     if block_profile(info, n1, probes) != block_profile(info, n2, probes):
         return Verdict.DISTINCT
     return Verdict.UNKNOWN

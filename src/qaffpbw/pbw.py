@@ -204,9 +204,13 @@ def expvec_from_json(doc: str | dict) -> ExpVec:
             f"exponent vector field 'support' must be an object: {data!r}"
         )
     field = "exponent vector field 'support'"
-    return ExpVec.from_dict(
-        {json_int(k, f"{field} key"): json_int(v, f"{field} entry {k}") for k, v in support.items()}
-    )
+    entries: dict[int, int] = {}
+    for key, value in support.items():
+        index = json_int(key, f"{field} key")
+        if index in entries:
+            raise ValueError(f"{field} names index {index} twice")
+        entries[index] = json_int(value, f"{field} entry {key}")
+    return ExpVec.from_dict(entries)
 
 
 def multiset_to_json(points) -> list:

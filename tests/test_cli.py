@@ -233,6 +233,16 @@ def test_domain_error_exit_code(capsys):
         (("phi", "--type", "A2^1", "--q", '{"xi":{"1":0,"2":true}}'), "xi"),
         (("decompose", "--type", "A2^1", "--q", Q_A2, "--multiset", "[[1,0.5]]"), "multiset"),
         (("decompose", "--type", "A2^1", "--q", Q_A2, "--multiset", "[[1,Infinity]]"), "multiset"),
+        (("phi", "--type", "A2^1"), "--q"),
+        (("adapted", "--type", "A2^1"), "--q"),
+        (("datum-from-q", "--type", "A2^1"), "--q"),
+        (("decompose", "--type", "A2^1", "--multiset", "[[1,0]]"), "--q"),
+        (("reflect", "--type", "A2^1", "--node", "1"), "--q or --datum"),
+        (("reflect", "--type", "A2^1", "--node", "1", "--datum", ""), "--q or --datum"),
+        (("cuspidal", "--type", "A2^1", "--word", "1,2,1", "--range", "1..3"), "--q or --datum"),
+        (("roots", "--fin", ""), "--fin"),
+        (("roots", "--fin", "A"), "--fin"),
+        (("compare", "--a", '{"support":{"1":1,"01":2}}', "--b", '{"support":{"1":2}}'), "support"),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
