@@ -34,22 +34,23 @@ _INVARIANT_KINDS = {
 }
 
 
-def _payload(text: str):
-    """A JSON value, either inline or @file."""
-    if text.startswith("@"):
-        return json.loads(Path(text[1:]).read_text())
-    return json.loads(text)
+def _payload(text: str, flag: str):
+    """The JSON value of a flag, either inline or @file."""
+    try:
+        return json.loads(Path(text[1:]).read_text() if text.startswith("@") else text)
+    except (OSError, ValueError, RecursionError) as err:  # RecursionError: deep nesting
+        raise ValueError(f"{flag}: {err}") from err
 
 
-def _emit(doc, fmt: str) -> None:
-    if fmt == "text":
-        print(doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True))
+def _emit(doc) -> None:
+    print(json.dumps(doc, sort_keys=True))
 
 
-def _point(text: str) -> SigmaPoint:
-    i, p = (int(x) for x in text.split(","))
+def _point(text: str, flag: str) -> SigmaPoint:
+    try:
+        i, p = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be a label i,p, got {text!r}") from None
     return SigmaPoint(i, p)
 
 
@@ -60,12 +61,17 @@ def _fin(text: str) -> tuple[str, int]:
 
 
 def _word(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--word must be comma-separated nodes, got {text!r}") from None
 
 
 def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
-    lo, hi = text.split("..")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        raise ValueError(f"{flag} must be lo..hi, got {text!r}") from None
     if hi - lo + 1 > limit:
         raise ValueError(f"{flag} {text} spans {hi - lo + 1} values; the limit is {limit}")
     return lo, hi
@@ -74,7 +80,7 @@ def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
 def _load_qdatum(info, text: str | None) -> QDatum:
     if text is None:
         raise qdata.QDatumError("--q is required")
-    data = _payload(text)
+    data = _payload(text, "--q")
     if not isinstance(data, dict):
         raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
     letter, rank = info.fin_type
@@ -83,29 +89,32 @@ def _load_qdatum(info, text: str | None) -> QDatum:
     return qdata.qdatum_from_json(data)
 
 
-def _load_facts(info, args) -> FusionTable:
+def _load_facts(info, text: str | None) -> FusionTable:
     table = FusionTable.builtin(info)
-    if getattr(args, "facts", None):
-        loaded = FusionTable.from_json(info, _payload(args.facts))
+    if text:
+        loaded = FusionTable.from_json(info, _payload(text, "--facts"))
         table = FusionTable(info, table.facts + loaded.facts)
     return table
 
 
+def _typed_datum(info, text: str) -> duality.DualityDatum:
+    datum = duality.datum_from_json(_payload(text, "--datum"))
+    if datum.info.name != info.name:
+        raise duality.DualityError(f"--datum is for {datum.info.name}, not --type {info.name}")
+    return datum
+
+
 def _load_datum(info, args) -> duality.DualityDatum:
     if args.datum:
-        return duality.datum_from_json(_payload(args.datum))
+        return _typed_datum(info, args.datum)
     if args.q is None:
         raise qdata.QDatumError("--q or --datum is required")
     return duality.from_q_datum(info, _load_qdatum(info, args.q))
 
 
-def _maybe_load_denoms(args) -> None:
-    if getattr(args, "denoms", None):
-        affine.load_denominator_json(_payload(args.denoms))
-
-
-def _expr_doc(e) -> dict:
-    return modexpr.expr_to_json(e)
+def _load_denoms(text: str | None) -> None:
+    if text:
+        affine.load_denominator_json(_payload(text, "--denoms"))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,7 @@ def _cmd_roots(args) -> int:
             "positive_roots": [list(b) for b in rs.positive_roots()],
             "star": {str(i): rs.star(i) for i in rs.nodes},
         }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -140,10 +149,10 @@ def _cmd_adapted(args) -> int:
     q = _load_qdatum(info, args.q)
     if args.word:
         word = _word(args.word)
-        _emit({"word": list(word), "adapted": qdata.is_adapted(q, word)}, args.format)
+        _emit({"word": list(word), "adapted": qdata.is_adapted(q, word)})
     else:
         words = [list(w) for w in qdata.adapted_words(q)]
-        _emit({"count": len(words), "adapted_words": words}, args.format)
+        _emit({"count": len(words), "adapted_words": words})
     return 0
 
 
@@ -159,18 +168,18 @@ def _cmd_phi(args) -> int:
             for beta, pt in mapping.items()
         ],
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
 def _cmd_datum_from_q(args) -> int:
     info = type_info(args.type)
-    q = _load_qdatum(info, args.q)
-    datum = duality.from_q_datum(info, q)
+    _load_denoms(args.denoms)
+    datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
     doc = duality.datum_to_json(datum)
     doc["strength"] = datum.strength
     doc["complete"] = datum.complete
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
@@ -178,8 +187,8 @@ def _cmd_reflect(args) -> int:
     if not 0 <= args.times <= MAX_TIMES:
         raise ValueError(f"--times {args.times} is outside 0..{MAX_TIMES}")
     info = type_info(args.type)
-    _maybe_load_denoms(args)
-    facts = _load_facts(info, args)
+    _load_denoms(args.denoms)
+    facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
     op = duality.reflect_inv if args.inverse else duality.reflect
     for _ in range(args.times):
@@ -187,30 +196,30 @@ def _cmd_reflect(args) -> int:
     doc = duality.datum_to_json(datum)
     doc["strength"] = datum.strength
     doc["complete"] = datum.complete
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
 def _cmd_cuspidal(args) -> int:
     lo, hi = _range(args.range, "--range", MAX_RANGE)
     info = type_info(args.type)
-    _maybe_load_denoms(args)
-    facts = _load_facts(info, args)
+    _load_denoms(args.denoms)
+    facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
     seq = CuspidalSeq(datum, _word(args.word), facts)
-    doc = [{"k": k, "label": _expr_doc(seq.materialize(k))} for k in range(lo, hi + 1)]
-    _emit(doc, args.format)
+    doc = [{"k": k, "label": modexpr.expr_to_json(seq.materialize(k))} for k in range(lo, hi + 1)]
+    _emit(doc)
     return 0
 
 
 def _cmd_invariant(args) -> int:
     info = type_info(args.type)
-    _maybe_load_denoms(args)
-    value = _INVARIANT_KINDS[args.kind](info, _point(args.x), _point(args.y))
+    _load_denoms(args.denoms)
+    value = _INVARIANT_KINDS[args.kind](info, _point(args.x, "--x"), _point(args.y, "--y"))
     if args.format == "text":
         print(value)
     else:
-        _emit({"kind": args.kind, "value": value}, args.format)
+        _emit({"kind": args.kind, "value": value})
     return 0
 
 
@@ -218,28 +227,28 @@ def _cmd_decompose(args) -> int:
     info = type_info(args.type)
     q = _load_qdatum(info, args.q)
     word = _word(args.word) if args.word else qdata.some_adapted_word(q)
-    seq = FundamentalCuspidalSeq(info, q, word, _load_facts(info, args))
-    multiset = pbw.multiset_from_json(_payload(args.multiset))
+    seq = FundamentalCuspidalSeq(info, q, word)
+    multiset = pbw.multiset_from_json(_payload(args.multiset, "--multiset"))
     vec = pbw.decompose(multiset, seq)
-    _emit(pbw.expvec_to_json(vec), args.format)
+    _emit(pbw.expvec_to_json(vec))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    a = pbw.expvec_from_json(_payload(args.a))
-    b = pbw.expvec_from_json(_payload(args.b))
+    a = pbw.expvec_from_json(_payload(args.a, "--a"))
+    b = pbw.expvec_from_json(_payload(args.b, "--b"))
     doc = {
         "bilex": pbw.cmp_bilex(a, b).value,
         "left": pbw.cmp_left(a, b),
         "right": pbw.cmp_right(a, b),
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
 def _cmd_sigma_quiver(args) -> int:
     info = type_info(args.type)
-    _maybe_load_denoms(args)
+    _load_denoms(args.denoms)
     lo, hi = _range(args.window, "--window", MAX_WINDOW)
     vertices, arrows = affine.sigma_quiver(info, lo, hi)
     if args.format == "dot":
@@ -261,13 +270,13 @@ def _cmd_sigma_quiver(args) -> int:
             for a, b, m in arrows
         ],
     }
-    _emit(doc, args.format)
+    _emit(doc)
     return 0
 
 
 def _cmd_check_strong(args) -> int:
-    _maybe_load_denoms(args)
-    datum = duality.datum_from_json(_payload(args.datum))
+    _load_denoms(args.denoms)
+    datum = _typed_datum(type_info(args.type), args.datum)
     report = duality.check_strong(datum)
     doc = {
         "overall": report.overall,
@@ -279,7 +288,7 @@ def _cmd_check_strong(args) -> int:
         doc["cartan_type"] = [
             f"{letter}{rank}" for letter, rank in duality.classify_cartan(report.cartan)
         ]
-    _emit(doc, args.format)
+    _emit(doc)
     return 0 if report.overall == "pass" else 1
 
 
@@ -347,6 +356,16 @@ def _example_corpus() -> list[tuple[str, bool]]:
 # ---------------------------------------------------------------------------
 
 
+# Flags that several subcommands take; each subcommand names the ones it reads.
+_SHARED_FLAGS = {
+    "--type": {"required": True, "help": "affine type, e.g. A2^1"},
+    "--q": {"help": 'Q-datum JSON, e.g. {"xi":{"1":0,"2":1}}'},
+    "--datum": {"help": "datum JSON (inline or @file); its affine type must be --type"},
+    "--denoms": {"help": "denominator table JSON (inline or @file)"},
+    "--facts": {"help": "fusion facts JSON (inline or @file)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaffpbw",
@@ -354,81 +373,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, q_flag=True):
-        p.add_argument("--type", required=True, help="affine type, e.g. A2^1")
-        p.add_argument("--format", choices=("json", "text", "dot"), default="json")
-        p.add_argument("--denoms", help="denominator table JSON (inline or @file)")
-        p.add_argument("--facts", help="fusion facts JSON (inline or @file)")
-        if q_flag:
-            p.add_argument("--q", help='Q-datum JSON, e.g. {"xi":{"1":0,"2":1}}')
+    def command(name, func, help_text, *shared):
+        p = sub.add_parser(name, help=help_text)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("roots", help="beta sequences and w0 data of a finite type")
+    p = command("roots", _cmd_roots, "beta sequences and w0 data of a finite type")
     p.add_argument("--fin", required=True, help="finite type, e.g. A3")
     p.add_argument("--word", help="comma-separated reduced word")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("adapted", help="check or enumerate adapted words")
-    common(p)
+    p = command("adapted", _cmd_adapted, "check or enumerate adapted words", "--type", "--q")
     p.add_argument("--word", help="word to check; omit to enumerate")
-    p.set_defaults(func=_cmd_adapted)
 
-    p = sub.add_parser("phi", help="label map of a Q-datum along an adapted word")
-    common(p)
+    p = command("phi", _cmd_phi, "label map of a Q-datum along an adapted word", "--type", "--q")
     p.add_argument("--word", help="adapted word; omit for the canonical one")
-    p.set_defaults(func=_cmd_phi)
 
-    p = sub.add_parser("datum-from-q", help="canonical duality datum of a Q-datum")
-    common(p)
-    p.set_defaults(func=_cmd_datum_from_q)
+    command(
+        "datum-from-q", _cmd_datum_from_q, "canonical duality datum of a Q-datum",
+        "--type", "--q", "--denoms",
+    )
 
-    p = sub.add_parser("reflect", help="apply a reflection to a duality datum")
-    common(p)
-    p.add_argument("--datum", help="datum JSON (inline or @file)")
+    p = command(
+        "reflect", _cmd_reflect, "apply a reflection to a duality datum",
+        "--type", "--q", "--datum", "--denoms", "--facts",
+    )
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--times", type=int, default=1)
-    p.set_defaults(func=_cmd_reflect)
 
-    p = sub.add_parser("cuspidal", help="materialize a cuspidal sequence window")
-    common(p)
-    p.add_argument("--datum", help="datum JSON; overrides --q")
+    p = command(
+        "cuspidal", _cmd_cuspidal, "materialize a cuspidal sequence window",
+        "--type", "--q", "--datum", "--denoms", "--facts",
+    )
     p.add_argument("--word", required=True)
     p.add_argument("--range", required=True, help="e.g. 1..6")
-    p.set_defaults(func=_cmd_cuspidal)
 
-    p = sub.add_parser("invariant", help="pairing invariants between labels")
-    common(p, q_flag=False)
+    p = command(
+        "invariant", _cmd_invariant, "pairing invariants between labels", "--type", "--denoms"
+    )
     p.add_argument("--kind", choices=sorted(_INVARIANT_KINDS), required=True)
     p.add_argument("--x", required=True, help="label i,p")
     p.add_argument("--y", required=True, help="label i,p")
-    p.set_defaults(func=_cmd_invariant)
+    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("decompose", help="cuspidal decomposition of a multiset")
-    common(p)
+    p = command(
+        "decompose", _cmd_decompose, "cuspidal decomposition of a multiset", "--type", "--q"
+    )
     p.add_argument("--word", help="adapted word; omit for the canonical one")
     p.add_argument("--multiset", required=True, help="[[i,p],...] (inline or @file)")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("compare", help="bi-lexicographic comparison")
+    p = command("compare", _cmd_compare, "bi-lexicographic comparison")
     p.add_argument("--a", required=True, help="exponent vector JSON")
     p.add_argument("--b", required=True, help="exponent vector JSON")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("sigma-quiver", help="the quiver on sigma0 in a window")
-    common(p, q_flag=False)
+    p = command(
+        "sigma-quiver", _cmd_sigma_quiver, "the quiver on sigma0 in a window",
+        "--type", "--denoms",
+    )
     p.add_argument("--window", required=True, help="e.g. 0..6")
-    p.set_defaults(func=_cmd_sigma_quiver)
+    p.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("check-strong", help="verify the strong-datum axioms")
-    common(p, q_flag=False)
-    p.add_argument("--datum", required=True, help="datum JSON (inline or @file)")
-    p.set_defaults(func=_cmd_check_strong)
+    p = command(
+        "check-strong", _cmd_check_strong, "verify the strong-datum axioms", "--type", "--denoms"
+    )
+    p.add_argument("--datum", required=True, help=_SHARED_FLAGS["--datum"]["help"])
 
-    p = sub.add_parser("verify-examples", help="run the built-in example corpus")
-    p.set_defaults(func=_cmd_verify_examples)
-
+    command("verify-examples", _cmd_verify_examples, "run the built-in example corpus")
     return parser
 
 
@@ -440,15 +452,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        affine.AffineTypeError,
-        duality.DualityError,
-        qdata.QDatumError,
-        rootsys.RootSystemError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as err:
+    except (ValueError, KeyError, OSError) as err:  # the library's errors are ValueErrors
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

@@ -157,12 +157,18 @@ class FusionTable:
                 raise ValueError(
                     f"fusion fact field 'head' must hold two labels, got {entry!r}"
                 )
+            equivariant = entry.get("shift_equivariant", True)
+            if not isinstance(equivariant, bool):
+                raise ValueError(
+                    f"fusion fact field 'shift_equivariant' must be true or false, "
+                    f"got {equivariant!r}"
+                )
             facts.append(
                 FusionFact(
                     left=point_from_json(head[0], "fusion fact field 'head'"),
                     right=point_from_json(head[1], "fusion fact field 'head'"),
                     result=point_from_json(entry.get("eq"), "fusion fact field 'eq'"),
-                    shift_equivariant=bool(entry.get("shift_equivariant", True)),
+                    shift_equivariant=equivariant,
                 )
             )
         return cls(info, facts)

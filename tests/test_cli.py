@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, run
+from qaffpbw import affine
+from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
 
 Q_A2 = '{"xi":{"1":0,"2":1}}'
+DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
 
 
 def invoke(capsys, *argv):
@@ -243,6 +247,30 @@ def test_domain_error_exit_code(capsys):
         (("roots", "--fin", ""), "--fin"),
         (("roots", "--fin", "A"), "--fin"),
         (("compare", "--a", '{"support":{"1":1,"01":2}}', "--b", '{"support":{"1":2}}'), "support"),
+        (("check-strong", "--type", "A3^1", "--datum", DATUM_A2), "--datum"),
+        (("reflect", "--type", "A3^1", "--datum", DATUM_A2, "--node", "1"), "--datum"),
+        (
+            (
+                "cuspidal", "--type", "A3^1", "--datum", DATUM_A2, "--word", "1,2,1",
+                "--range", "1..3",
+            ),
+            "--datum",
+        ),
+        (
+            (
+                "reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--facts",
+                '{"facts":[{"head":[[1,4],[1,6]],"eq":[2,5],"shift_equivariant":"false"}]}',
+            ),
+            "shift_equivariant",
+        ),
+        (("phi", "--type", "A2^1", "--q", ""), "--q"),
+        (("compare", "--a", '{"support":', "--b", "{}"), "--a"),
+        (("reflect", "--type", "A2^1", "--node", "1", "--datum", "@/nonexistent"), "--datum"),
+        (("invariant", "--type", "A2^1", "--kind", "d", "--x", "1", "--y", "1,2"), "--x"),
+        (("cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,x", "--range=1..3"), "--word"),
+        (("cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", "--range=1-3"), "--range"),
+        (("sigma-quiver", "--type", "A2^1", "--window", "0"), "--window"),
+        (("compare", "--a", "[" * 100000 + "]" * 100000, "--b", "{}"), "--a"),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
@@ -339,3 +367,63 @@ def test_external_provider_flow(tmp_path, capsys):
     from qaffpbw import affine
 
     affine._EXTERNAL_TABLES.pop("D4^1", None)
+
+
+def test_datum_from_q_reads_denoms(capsys):
+    zeros = {"1,1": [2, 6], "1,2": [3, 5], "1,3": [4], "1,4": [4], "2,2": [2, 4, 4, 6],
+             "2,3": [3, 5], "2,4": [3, 5], "3,3": [2, 6], "3,4": [4], "4,4": [2, 6]}
+    denoms = json.dumps({"type": "D4^1", "zeros": zeros})
+    q = '{"xi":{"1":0,"2":1,"3":0,"4":0}}'
+    try:
+        code, out, _ = invoke(
+            capsys, "datum-from-q", "--type", "D4^1", "--q", q, "--denoms", denoms
+        )
+    finally:
+        affine._EXTERNAL_TABLES.pop("D4^1", None)
+    assert code == 0
+    assert json.loads(out)["strength"] == "verified"
+
+
+# Each subcommand takes exactly the flags its handler reads.
+SURFACE = {
+    "roots": {"--fin", "--word"},
+    "adapted": {"--type", "--q", "--word"},
+    "phi": {"--type", "--q", "--word"},
+    "datum-from-q": {"--type", "--q", "--denoms"},
+    "reflect": {
+        "--type", "--q", "--datum", "--denoms", "--facts", "--node", "--inverse", "--times"
+    },
+    "cuspidal": {"--type", "--q", "--datum", "--denoms", "--facts", "--word", "--range"},
+    "invariant": {"--type", "--denoms", "--kind", "--x", "--y", "--format"},
+    "decompose": {"--type", "--q", "--word", "--multiset"},
+    "compare": {"--a", "--b"},
+    "sigma-quiver": {"--type", "--denoms", "--window", "--format"},
+    "check-strong": {"--type", "--denoms", "--datum"},
+    "verify-examples": set(),
+}
+
+
+def test_parser_surface():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags, formats = {}, {}
+    for name, sub in commands.choices.items():
+        options = {a.option_strings[-1]: a for a in sub._actions if "-h" not in a.option_strings}
+        flags[name] = set(options)
+        if "--format" in options:
+            formats[name] = tuple(options["--format"].choices)
+    assert flags == SURFACE
+    assert sum(map(len, flags.values())) == 45
+    assert formats == {"invariant": ("json", "text"), "sigma-quiver": ("json", "dot")}
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qaffpbw ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert out

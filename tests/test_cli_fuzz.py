@@ -31,7 +31,7 @@ DENOMS_D4 = '{"type":"D4^1","zeros":{"1,1":[2,6],"1,2":[3,5],"2,1":[3,5],"2,2":[
 # (subcommand, [(flag, value or None for a switch), ...])
 BASE_CALLS = [
     ("roots", [("--fin", "A3")]),
-    ("roots", [("--fin", "D4"), ("--word", "1,2,3,4"), ("--format", "text")]),
+    ("roots", [("--fin", "D4"), ("--word", "1,2,3,4")]),
     ("adapted", [("--type", "A2^1"), ("--q", Q_A2)]),
     ("adapted", [("--type", "A3^1"), ("--q", Q_A3), ("--word", "1,2,1,3,2,1")]),
     ("phi", [("--type", "A2^1"), ("--q", Q_A2), ("--word", "1,2,1")]),
