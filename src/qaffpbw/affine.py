@@ -368,11 +368,6 @@ def denom_zeros(info: AffineTypeInfo, i: int, j: int) -> tuple[int, ...]:
     return table.get((i, j), ())
 
 
-def zero_order(info: AffineTypeInfo, i: int, j: int, exponent: int) -> int:
-    """Multiplicity of the zero of d_{i,j} at (-q)^exponent."""
-    return sum(1 for m in denom_zeros(info, i, j) if m == exponent)
-
-
 _SIGMA0_LATTICE: dict[str, tuple[dict[int, int], int]] = {}
 
 

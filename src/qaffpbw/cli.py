@@ -112,9 +112,13 @@ def _load_datum(info, args) -> duality.DualityDatum:
     return duality.from_q_datum(info, _load_qdatum(info, args.q))
 
 
-def _load_denoms(text: str | None) -> None:
+def _load_denoms(info, text: str | None) -> None:
     if text:
-        affine.load_denominator_json(_payload(text, "--denoms"))
+        data = _payload(text, "--denoms")
+        name = data.get("type") if isinstance(data, dict) else None
+        if isinstance(name, str) and type_info(name).name != info.name:
+            raise affine.AffineTypeError(f"--denoms is for {name}, not --type {info.name}")
+        affine.load_denominator_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_datum_from_q(args) -> int:
     info = type_info(args.type)
-    _load_denoms(args.denoms)
+    _load_denoms(info, args.denoms)
     datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
     doc = duality.datum_to_json(datum)
     doc["strength"] = datum.strength
@@ -187,7 +191,7 @@ def _cmd_reflect(args) -> int:
     if not 0 <= args.times <= MAX_TIMES:
         raise ValueError(f"--times {args.times} is outside 0..{MAX_TIMES}")
     info = type_info(args.type)
-    _load_denoms(args.denoms)
+    _load_denoms(info, args.denoms)
     facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
     op = duality.reflect_inv if args.inverse else duality.reflect
@@ -203,7 +207,7 @@ def _cmd_reflect(args) -> int:
 def _cmd_cuspidal(args) -> int:
     lo, hi = _range(args.range, "--range", MAX_RANGE)
     info = type_info(args.type)
-    _load_denoms(args.denoms)
+    _load_denoms(info, args.denoms)
     facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
     seq = CuspidalSeq(datum, _word(args.word), facts)
@@ -214,7 +218,7 @@ def _cmd_cuspidal(args) -> int:
 
 def _cmd_invariant(args) -> int:
     info = type_info(args.type)
-    _load_denoms(args.denoms)
+    _load_denoms(info, args.denoms)
     value = _INVARIANT_KINDS[args.kind](info, _point(args.x, "--x"), _point(args.y, "--y"))
     if args.format == "text":
         print(value)
@@ -248,7 +252,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sigma_quiver(args) -> int:
     info = type_info(args.type)
-    _load_denoms(args.denoms)
+    _load_denoms(info, args.denoms)
     lo, hi = _range(args.window, "--window", MAX_WINDOW)
     vertices, arrows = affine.sigma_quiver(info, lo, hi)
     if args.format == "dot":
@@ -275,8 +279,9 @@ def _cmd_sigma_quiver(args) -> int:
 
 
 def _cmd_check_strong(args) -> int:
-    _load_denoms(args.denoms)
-    datum = _typed_datum(type_info(args.type), args.datum)
+    info = type_info(args.type)
+    _load_denoms(info, args.denoms)
+    datum = _typed_datum(info, args.datum)
     report = duality.check_strong(datum)
     doc = {
         "overall": report.overall,

@@ -230,11 +230,11 @@ def _component_type(matrix, nodes) -> tuple[str, int]:
 
 def _reflect_members(
     datum: DualityDatum,
+    cartan: tuple[tuple[int, ...], ...],
     k: int,
     inverse: bool,
     facts: FusionTable | None,
 ) -> tuple[Expr, ...]:
-    cartan = induced_cartan(datum)
     info = datum.info
     members = []
     for i in range(1, datum.size + 1):
@@ -255,7 +255,8 @@ def _reflected(
 ) -> DualityDatum:
     if not 1 <= k <= datum.size:
         raise DualityError(f"node {k} out of range")
-    members = _reflect_members(datum, k, inverse, facts)
+    cartan = induced_cartan(datum)
+    members = _reflect_members(datum, cartan, k, inverse, facts)
     tag = f"S{k}^-1" if inverse else f"S{k}"
     new = DualityDatum(
         info=datum.info,
@@ -263,7 +264,7 @@ def _reflected(
         provenance=f"{tag}({datum.provenance})",
         complete=datum.complete,
         strength="unknown",
-        cartan=induced_cartan(datum),
+        cartan=cartan,
     )
     report = check_strong(new)
     if report.overall == "pass":
@@ -386,7 +387,7 @@ def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
     if not isinstance(name, str):
         raise DualityError(f"datum field 'affine' must be a type name, got {name!r}")
     info = type_info(name)
-    raw = data["members"]
+    raw = data.get("members")
     if not isinstance(raw, Mapping):
         raise DualityError(f"datum field 'members' must be an object, got {raw!r}")
     members = []

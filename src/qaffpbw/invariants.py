@@ -44,8 +44,9 @@ __all__ = [
 
 def d_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """The invariant d between two fundamental labels (symmetric, >= 0)."""
-    forward = affine.zero_order(info, x.node, y.node, y.power - x.power)
-    backward = affine.zero_order(info, y.node, x.node, x.power - y.power)
+    gap = y.power - x.power
+    forward = affine.denom_zeros(info, x.node, y.node).count(gap)
+    backward = affine.denom_zeros(info, y.node, x.node).count(-gap)
     return forward + backward
 
 

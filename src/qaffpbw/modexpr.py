@@ -22,6 +22,13 @@ denoted simple module.  The rules are
        as data, applied where the grouping is exact,
   (R4) dropping trivial factors.
 
+Each size-reducing rule (R1, R3) is a condition on the factor list that
+yields the rewritten list; ``_rewrites`` returns every such list in a fixed
+order, and a seeded schedule picks among them.  One d = 0 test,
+``_commute``, decides which factors may swap: it guards the pair
+cancellation (every factor before L commutes with L) and drives the trace
+normal form of (R2).
+
 Nested heads in leading position flatten exactly under the left-nested
 reading; a dual only distributes over a head whose factor list is certified
 normal (pairwise strongly unmixed fundamentals, repeats allowed).
@@ -213,6 +220,7 @@ def certified_normal(info: AffineTypeInfo, factors: Sequence[Expr]) -> bool:
 
 
 def _commute(info: AffineTypeInfo, a: Expr, b: Expr) -> bool:
+    """Adjacent factors may swap: both fundamental with d = 0."""
     return (
         isinstance(a, Fund)
         and isinstance(b, Fund)
@@ -220,30 +228,26 @@ def _commute(info: AffineTypeInfo, a: Expr, b: Expr) -> bool:
     )
 
 
-def _sort_key(e: Expr):
-    assert isinstance(e, Fund)
-    return (e.point.node, e.point.power)
-
-
 def _trace_canonical(info: AffineTypeInfo, factors: list[Expr]) -> list[Expr]:
     """Lexicographically least representative of the commutation class.
 
-    Only adjacent fundamental factors with d = 0 may swap; everything else is
-    a blocker.  Greedy choice of the least movable-to-front element yields a
-    schedule-independent normal form.
+    Only adjacent factors that ``_commute`` may swap; everything else is a
+    blocker.  A blocker in front moves nothing past it, so it comes first;
+    otherwise the least label that commutes to the front comes first.  The
+    greedy choice yields a schedule-independent normal form.
     """
     rest = list(factors)
     out: list[Expr] = []
     while rest:
-        movable = [
-            idx
-            for idx in range(len(rest))
-            if all(_commute(info, rest[j], rest[idx]) for j in range(idx))
-        ]
-        fund_movable = [idx for idx in movable if isinstance(rest[idx], Fund)]
-        best = min(fund_movable, key=lambda idx: _sort_key(rest[idx])) if fund_movable else 0
-        out.append(rest[best])
-        del rest[best]
+        best = 0
+        if isinstance(rest[0], Fund):
+            movable = [
+                idx
+                for idx, f in enumerate(rest)
+                if all(_commute(info, g, f) for g in rest[:idx])
+            ]
+            best = min(movable, key=lambda idx: rest[idx].point)
+        out.append(rest.pop(best))
     return out
 
 
@@ -251,86 +255,42 @@ def _trace_canonical(info: AffineTypeInfo, factors: list[Expr]) -> list[Expr]:
 # rewriting
 
 
-def _splice(factors: Sequence[Expr]) -> list[Expr] | None:
-    """Flatten a leading nested head and drop trivial factors (exact steps)."""
-    out: list[Expr] = []
-    changed = False
-    for pos, f in enumerate(factors):
-        if f is One:
-            changed = True
-            continue
-        if isinstance(f, Head) and not out and pos == 0:
-            out.extend(f.factors)
-            changed = True
-            continue
-        out.append(f)
-    return out if changed else None
-
-
-def _rule_instances(
+def _rewrites(
     info: AffineTypeInfo, factors: list[Expr], facts: FusionTable | None
-) -> list[tuple[str, tuple]]:
-    """All applicable size-reducing rewrite instances on a factor list."""
-    found: list[tuple[str, tuple]] = []
+) -> list[list[Expr]]:
+    """The factor list after each applicable size-reducing rewrite."""
     n = len(factors)
-    # cancel an adjacent pair (L, DL); sound when every earlier factor is a
-    # fundamental commuting with L, since then the triple regroups
-    for i in range(n - 1):
-        if _is_dual_pair(info, factors[i], factors[i + 1]):
-            left_ok = all(
-                isinstance(factors[j], Fund)
-                and invariants.d_fund(info, factors[j].point, factors[i].point) == 0
-                for j in range(i)
-            )
-            if left_ok:
-                found.append(("cancel_pair", (i,)))
+    first, last = factors[0], factors[-1]
+    # cancel an adjacent pair (L, DL); sound when every earlier factor
+    # commutes with L, since then the triple regroups
+    out = [
+        factors[:i] + factors[i + 2 :]
+        for i in range(n - 1)
+        if _is_dual_pair(info, factors[i], factors[i + 1])
+        and all(_commute(info, f, factors[i]) for f in factors[:i])
+    ]
     # (L * X) * DL = X; exact for a single middle factor, and for a longer
     # middle when the prefix list is certified normal so it regroups
-    if n == 3 and _is_dual_pair(info, factors[0], factors[-1]):
-        found.append(("cancel_outer", ()))
-    elif (
-        n > 3
-        and _is_dual_pair(info, factors[0], factors[-1])
-        and certified_normal(info, factors[:-1])
+    if (
+        n >= 3
+        and _is_dual_pair(info, first, last)
+        and (n == 3 or certified_normal(info, factors[:-1]))
     ):
-        found.append(("cancel_outer", ()))
+        out.append(factors[1:-1])
     # right-grouped variant on a binary head: L * (X * DL) = X
     if (
         n == 2
-        and isinstance(factors[0], Fund)
-        and isinstance(factors[1], Head)
-        and len(factors[1].factors) == 2
+        and isinstance(last, Head)
+        and len(last.factors) == 2
+        and _is_dual_pair(info, first, last.factors[1])
     ):
-        inner_x, inner_last = factors[1].factors
-        if isinstance(inner_last, Fund) and (
-            dual_point(info, factors[0].point, 1) == inner_last.point
-        ):
-            found.append(("cancel_right_grouped", (inner_x,)))
+        out.append([last.factors[0]])
     # fusion facts on the leading pair (exact grouping)
-    if facts is not None and n >= 2:
-        a, b = factors[0], factors[1]
-        if isinstance(a, Fund) and isinstance(b, Fund):
-            hit = facts.lookup(a.point, b.point)
-            if hit is not None:
-                found.append(("fuse_front", (hit,)))
-    return found
-
-
-def _apply_rule(
-    factors: list[Expr], rule: str, payload: tuple
-) -> list[Expr]:
-    if rule == "cancel_pair":
-        (i,) = payload
-        return factors[:i] + factors[i + 2 :]
-    if rule == "cancel_outer":
-        return factors[1:-1]
-    if rule == "cancel_right_grouped":
-        (inner_x,) = payload
-        return [inner_x]
-    if rule == "fuse_front":
-        (hit,) = payload
-        return [Fund(hit)] + factors[2:]
-    raise AssertionError(rule)  # pragma: no cover
+    if facts is not None and isinstance(first, Fund) and isinstance(factors[1], Fund):
+        hit = facts.lookup(first.point, factors[1].point)
+        if hit is not None:
+            out.append([Fund(hit)] + factors[2:])
+    return out
 
 
 def _normalize_head(
@@ -341,18 +301,18 @@ def _normalize_head(
 ) -> Expr:
     work = list(factors)
     for _ in range(10_000):
-        spliced = _splice(work)
-        if spliced is not None:
-            work = spliced
+        # exact steps: drop trivial factors and flatten a leading nested head
+        work = [f for f in work if f is not One]
+        if work and isinstance(work[0], Head):
+            work[:1] = work[0].factors
             continue
         if not work:
             return One
         if len(work) == 1:
             return work[0]
-        instances = _rule_instances(info, work, facts)
-        if instances:
-            rule, payload = instances[0] if rng is None else rng.choice(instances)
-            work = _apply_rule(work, rule, payload)
+        rewrites = _rewrites(info, work, facts)
+        if rewrites:
+            work = rewrites[0] if rng is None else rng.choice(rewrites)
             continue
         canonical = _trace_canonical(info, work)
         if canonical != work:
@@ -477,11 +437,7 @@ def equal(
     n2 = normalize(info, e2, facts)
     if n1 == n2:
         return Verdict.EQUAL
-    if isinstance(n1, Fund) and isinstance(n2, Fund):
-        return Verdict.DISTINCT
-    if (n1 is One) != (n2 is One) and (
-        isinstance(n1, Fund) or isinstance(n2, Fund)
-    ):
+    if all(n is One or isinstance(n, Fund) for n in (n1, n2)):
         return Verdict.DISTINCT
     probes = _probe_window(info)
     if block_profile(info, n1, probes) != block_profile(info, n2, probes):

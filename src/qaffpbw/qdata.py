@@ -201,8 +201,8 @@ def qdatum_from_json(doc: str | dict) -> QDatum:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, dict):
         raise QDatumError(f"Q-datum JSON must be an object, got {data!r}")
-    rank = json_int(data["rank"], "Q-datum field 'rank'")
-    xi = data["xi"]
+    rank = json_int(data.get("rank"), "Q-datum field 'rank'")
+    xi = data.get("xi")
     if not isinstance(xi, dict):
         raise QDatumError(f"Q-datum field 'xi' must map nodes to heights, got {xi!r}")
     heights = []

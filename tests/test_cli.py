@@ -16,6 +16,7 @@ from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
 
 Q_A2 = '{"xi":{"1":0,"2":1}}'
 DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
+MISMATCHED_DENOMS = '{"type":"E8^1","zeros":{"1,1":[2]}}'  # not the --type of any call
 
 
 def invoke(capsys, *argv):
@@ -271,6 +272,15 @@ def test_domain_error_exit_code(capsys):
         (("cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", "--range=1-3"), "--range"),
         (("sigma-quiver", "--type", "A2^1", "--window", "0"), "--window"),
         (("compare", "--a", "[" * 100000 + "]" * 100000, "--b", "{}"), "--a"),
+        (
+            (
+                "invariant", "--type", "A2^1", "--kind", "d", "--x", "1,0", "--y", "1,2",
+                "--denoms", MISMATCHED_DENOMS,
+            ),
+            "--denoms",
+        ),
+        (("phi", "--type", "A2^1", "--q", "{}"), "Q-datum field 'xi'"),
+        (("check-strong", "--type", "A2^1", "--datum", '{"affine":"A2^1"}'), "datum field 'members'"),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
@@ -278,6 +288,15 @@ def test_malformed_payload_is_a_domain_error(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert field in json.loads(err)["error"]
+
+
+def test_mismatched_denoms_registers_nothing(capsys):
+    saved = dict(affine._EXTERNAL_TABLES)
+    code, _, _ = invoke(
+        capsys, "sigma-quiver", "--type", "A2^1", "--window", "0..4", "--denoms", MISMATCHED_DENOMS
+    )
+    assert code == 1
+    assert affine._EXTERNAL_TABLES == saved
 
 
 def _sized(flag: str, size: int) -> tuple[str, ...]:

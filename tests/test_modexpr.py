@@ -80,6 +80,33 @@ def test_guarded_pair_cancellation_after_commuting_prefix():
     assert isinstance(out, Head) and len(out.factors) == 3
 
 
+def test_outer_cancellation_over_certified_prefix():
+    # (1,0) and (2,3) = D(1,0) enclose two middle factors; the prefix
+    # [(1,0), (1,2), (1,-2)] is certified normal, so it regroups and cancels
+    factors = [F(1, 0), F(1, 2), F(1, -2), F(2, 3)]
+    assert me.certified_normal(A2, factors[:-1])
+    assert me._rewrites(A2, factors, None) == [factors[1:-1]]
+    assert me.normalize(A2, Head(tuple(factors))) == Head((F(1, -2), F(1, 2)))
+
+
+def test_outer_cancellation_needs_certified_prefix():
+    # the same four labels with the middle reversed: [(1,0), (1,-2), (1,2)]
+    # is not certified normal, so no rule fires and all four factors stay
+    factors = [F(1, 0), F(1, -2), F(1, 2), F(2, 3)]
+    assert not me.certified_normal(A2, factors[:-1])
+    assert me._rewrites(A2, factors, None) == []
+    assert me.normalize(A2, Head(tuple(factors))) == Head(tuple(factors))
+
+
+def test_blocker_first_keeps_its_place():
+    blocker = me.dual(A2, Head((F(1, 0), F(1, 4))), 1)
+    assert isinstance(blocker, Dual)
+    # (1,6) and (1,0) commute, so they sort, but not past the blocker
+    e = Head((blocker, F(1, 6), F(1, 0)))
+    assert me.normalize(A2, e) == Head((blocker, F(1, 0), F(1, 6)))
+    assert me._trace_canonical(A2, [blocker, F(1, 6), F(1, 0)])[0] == blocker
+
+
 def test_commuting_factors_sorted():
     e = Head((F(1, 4), F(1, 0)))
     assert me.normalize(A2, e) == Head((F(1, 0), F(1, 4)))

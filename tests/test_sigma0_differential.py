@@ -3,9 +3,9 @@
 ``AffineTypeInfo.in_sigma0`` reads a base exponent per node and a period off
 the denominator zeros.  The references below are the code it replaced, kept
 here: the A_n^(1) parity lambda, the O(V^2) pair scan of ``sigma_quiver``
-with ``zero_order``, a search of the component of (1, 0) in a wide box
-(which the padded-window search only approximated), and the padded probe
-window of ``modexpr.equal``.
+counting each zero order inline, a search of the component of (1, 0) in a
+wide box (which the padded-window search only approximated), and the padded
+probe window of ``modexpr.equal``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from qaffpbw import affine, invariants, modexpr
-from qaffpbw.affine import SigmaPoint, dual_point, sigma_quiver, type_info, zero_order
+from qaffpbw.affine import SigmaPoint, denom_zeros, dual_point, sigma_quiver, type_info
 from qaffpbw.modexpr import Dual, Fund, Head, One, Verdict
 
 P = SigmaPoint
@@ -52,7 +52,8 @@ def reference_quiver(info, vertices):
     arrows = []
     for src in vertices:
         for dst in vertices:
-            mult = zero_order(info, src.node, dst.node, dst.power - src.power)
+            gap = dst.power - src.power
+            mult = sum(1 for m in denom_zeros(info, src.node, dst.node) if m == gap)
             if mult:
                 arrows.append((src, dst, mult))
     return tuple(vertices), tuple(arrows)
