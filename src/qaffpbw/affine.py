@@ -368,7 +368,25 @@ def denom_zeros(info: AffineTypeInfo, i: int, j: int) -> tuple[int, ...]:
     return table.get((i, j), ())
 
 
-_SIGMA0_LATTICE: dict[str, tuple[dict[int, int], int]] = {}
+_DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
+
+
+def _derived(info: AffineTypeInfo) -> dict:
+    """The memo of values derived from a type's zeros.
+
+    A key names its value: ``"sigma0"`` for ``_sigma0_lattice`` and
+    ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``.
+    The memo is tied to the table object it was filled from: once
+    ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
+    comes back empty.  Tables are replaced, never edited in place, so the
+    identity check covers every change of zeros.  The entry keeps its table
+    alive, so a new table can never reuse the old one's identity.
+    """
+    table = _EXTERNAL_TABLES.get(info.name)
+    entry = _DERIVED.get(info.name)
+    if entry is None or entry[0] is not table:
+        entry = _DERIVED[info.name] = (table, {})
+    return entry[1]
 
 
 def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
@@ -381,7 +399,8 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
     base[j] modulo the gcd of all drifts (the period, 0 when there is none).
     The search meets every edge from both ends, which covers the step -m.
     """
-    cached = _SIGMA0_LATTICE.get(info.name)
+    memo = _derived(info)
+    cached = memo.get("sigma0")
     if cached is not None:
         return cached
     base, frontier, period = {1: 0}, [1], 0
@@ -393,7 +412,7 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
                     base[j] = base[i] + m
                     frontier.append(j)
                 period = gcd(period, base[i] + m - base[j])
-    _SIGMA0_LATTICE[info.name] = base, period
+    memo["sigma0"] = base, period
     return base, period
 
 
@@ -407,7 +426,6 @@ def register_denominator_table(
             raise AffineTypeError(f"node pair {(i, j)} out of range for {name}")
         table[(i, j)] = tuple(sorted(int(m) for m in ms))
     _EXTERNAL_TABLES[info.name] = table
-    _SIGMA0_LATTICE.pop(info.name, None)
 
 
 def load_denominator_json(doc: str | dict) -> AffineTypeInfo:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import affine, cuspidal, duality, invariants, modexpr, pbw, qdata, rootsys
-from .affine import SigmaPoint, type_info
+from .affine import SigmaPoint, json_int, type_info
 from .cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from .modexpr import FusionTable
 from .qdata import QDatum
@@ -84,9 +84,12 @@ def _load_qdatum(info, text: str | None) -> QDatum:
     if not isinstance(data, dict):
         raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
     letter, rank = info.fin_type
-    data.setdefault("fin_type", letter)
-    data.setdefault("rank", rank)
-    return qdata.qdatum_from_json(data)
+    given = data.get("fin_type", letter), json_int(data.get("rank", rank), "--q field 'rank'")
+    if given != (letter, rank):
+        raise qdata.QDatumError(
+            f"--q is for {given[0]}{given[1]}, not {letter}{rank} of --type {info.name}"
+        )
+    return qdata.qdatum_from_json({**data, "fin_type": letter, "rank": rank})
 
 
 def _load_facts(info, text: str | None) -> FusionTable:
@@ -116,8 +119,13 @@ def _load_denoms(info, text: str | None) -> None:
     if text:
         data = _payload(text, "--denoms")
         name = data.get("type") if isinstance(data, dict) else None
-        if isinstance(name, str) and type_info(name).name != info.name:
-            raise affine.AffineTypeError(f"--denoms is for {name}, not --type {info.name}")
+        if isinstance(name, str):
+            try:
+                denoms_type = type_info(name)
+            except affine.AffineTypeError as err:
+                raise affine.AffineTypeError(f"--denoms: {err}") from err
+            if denoms_type.name != info.name:
+                raise affine.AffineTypeError(f"--denoms is for {name}, not --type {info.name}")
         affine.load_denominator_json(data)
 
 

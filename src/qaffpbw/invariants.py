@@ -20,6 +20,17 @@ the k with d(x, D^k y) != 0 straight off the zeros: D^k y sits at node y or
 y* and exponent p_y + k h, so a zero m of d_{i,n} (n in {y, y*}) pins
 k = (m + p_x - p_y) / h and a zero m of d_{n,i} pins k = (p_x - p_y - m) / h;
 k counts when the division is exact and D^k y really lands on node n.
+
+Two facts hold for any zero table, registered ones included:
+
+  * translation invariance: the profile of (x, y) depends only on
+    (i, j, p_x - p_y), as the shifts above are read off p_x - p_y alone;
+  * period 2h: moving p_x - p_y by 2h moves every shift k by 2, which keeps
+    the node of D^k y and the sign (-1)^k, so Lambda8 is 2h-periodic in the gap.
+
+``lambda_inf_fund`` therefore computes Lambda8 once per (i, j, gap mod 2h)
+and keeps it in the type's memo (``affine._derived``), which a new table for
+the type empties.
 """
 
 from __future__ import annotations
@@ -78,10 +89,17 @@ def lambda_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
 
 
 def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
-    total = 0
-    for k, value in shift_profile(info, x, y).items():
-        total += (-1 if k % 2 else 1) * value
-    return total
+    """Lambda8(x, y), read from the type's memo keyed by (i, j, gap mod 2h)."""
+    h = info.dual_shift_exponent
+    if h is None:
+        raise NoProviderError(f"{info.name}: no dual shift on labels")
+    memo = affine._derived(info)
+    key = ("lambda_inf", x.node, y.node, (x.power - y.power) % (2 * h))
+    value = memo.get(key)
+    if value is None:
+        profile = shift_profile(info, SigmaPoint(x.node, key[3]), SigmaPoint(y.node, 0))
+        value = memo[key] = sum((-1 if k % 2 else 1) * v for k, v in profile.items())
+    return value
 
 
 def de_tilde_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:

@@ -120,6 +120,13 @@ def test_phi(capsys):
     assert {"root": [1, 1], "point": [2, 1]} in doc["labels"]
 
 
+def test_q_may_restate_the_finite_type_of_type(capsys):
+    explicit = '{"fin_type":"A","rank":2,"xi":{"1":0,"2":1}}'
+    assert invoke(capsys, "phi", "--type", "A2^1", "--q", explicit) == invoke(
+        capsys, "phi", "--type", "A2^1", "--q", Q_A2
+    )
+
+
 def test_datum_from_q_and_reflect(capsys):
     code, out, _ = invoke(
         capsys, "datum-from-q", "--type", "A2^1", "--q", '{"xi":{"1":0,"2":1}}'
@@ -281,6 +288,16 @@ def test_domain_error_exit_code(capsys):
         ),
         (("phi", "--type", "A2^1", "--q", "{}"), "Q-datum field 'xi'"),
         (("check-strong", "--type", "A2^1", "--datum", '{"affine":"A2^1"}'), "datum field 'members'"),
+        (("phi", "--type", "A2^1", "--q", '{"rank":3,"xi":{"1":0,"2":1,"3":0}}'), "--q"),
+        (("phi", "--type", "A2^1", "--q", '{"fin_type":"D","xi":{"1":0,"2":1}}'), "--q"),
+        (("phi", "--type", "A2^1", "--q", '{"rank":"x","xi":{"1":0,"2":1}}'), "--q"),
+        (
+            (
+                "invariant", "--type", "A2^1", "--kind", "d", "--x", "1,0", "--y", "1,2",
+                "--denoms", '{"type":"zz","zeros":{}}',
+            ),
+            "--denoms",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):

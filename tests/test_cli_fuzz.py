@@ -124,7 +124,6 @@ def one_parser_and_restored_tables(monkeypatch):
     yield
     affine._EXTERNAL_TABLES.clear()
     affine._EXTERNAL_TABLES.update(tables)
-    affine._SIGMA0_LATTICE.clear()
 
 
 def test_mutated_calls_keep_the_exit_contract(one_parser_and_restored_tables):

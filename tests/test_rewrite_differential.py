@@ -312,4 +312,3 @@ def test_d_fund_matches_reference_on_demo_d4_table():
     finally:
         affine._EXTERNAL_TABLES.clear()
         affine._EXTERNAL_TABLES.update(saved)
-        affine._SIGMA0_LATTICE.clear()

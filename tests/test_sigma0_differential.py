@@ -41,7 +41,6 @@ def tables():
     yield {name: type_info(name) for name in TABLES}
     affine._EXTERNAL_TABLES.clear()
     affine._EXTERNAL_TABLES.update(saved)
-    affine._SIGMA0_LATTICE.clear()
 
 
 def reference_parity(info, point: SigmaPoint) -> bool:
@@ -205,6 +204,17 @@ def test_probe_window_meets_every_dual_orbit_once(tables):
         for x in info.sigma0_points(-30, 30):
             orbit = [dual_point(info, x, k) for k in range(-40, 41)]
             assert sum(y in probes for y in orbit) == 1, (info.name, x)
+
+
+def test_lambda_inf_changes_sign_under_the_dual_shift(tables):
+    # with the orbit test above, this is what lets 0..h-1 stand for all of sigma0
+    for info in [type_info(f"A{n}^1") for n in range(2, 7)] + [tables["D4^1"]]:
+        h = info.dual_shift_exponent
+        labels = [P(i, p) for i in range(1, info.rank + 1) for p in range(-h, 2 * h)]
+        for x in labels:
+            for y in labels:
+                shifted = invariants.lambda_inf_fund(info, x, dual_point(info, y))
+                assert shifted == -invariants.lambda_inf_fund(info, x, y), (info.name, x, y)
 
 
 def test_equal_decides_on_a_registered_table(tables):
