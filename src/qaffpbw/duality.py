@@ -10,6 +10,14 @@ with (c_ij) a simply-laced finite Cartan matrix.  These are decidable
 exactly when the members are fundamental labels; pairs involving compound
 labels come back as "unknown".
 
+Each label check is written once here, and ``cuspidal`` reads the same ones:
+``fund_point`` maps a member to its label (None when compound),
+``root_verdict`` grades the root-module pattern, ``_cartan_of`` builds and
+validates the induced matrix from -d, and ``roll_up`` folds verdicts into
+pass, fail or unknown.  ``_strength`` is the one strength rule: pass gives
+verified; from a verified or inherited parent, unknown gives inherited and
+fail raises; anything else gives unknown.
+
 Completeness is not decidable from labels: it is a provenance flag, seeded
 by construction from a Q-datum and transported along reflections.
 """
@@ -51,7 +59,7 @@ class DualityDatum:
     members: tuple[Expr, ...]  # R_1, ..., R_n
     provenance: str = "user"
     complete: bool | None = None  # None: unknown
-    strength: str = "unknown"  # verified | inherited | unknown | failed
+    strength: str = "unknown"  # verified | inherited | unknown
     cartan: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -73,80 +81,69 @@ class StrongReport:
         return dict(self.pair_verdicts)[(i, j)]
 
 
-def _fund_point(e: Expr) -> SigmaPoint | None:
+def fund_point(e: Expr) -> SigmaPoint | None:
+    """The label of a fundamental member; None for a compound one, whose
+    pairings are not exact."""
     return e.point if isinstance(e, Fund) else None
+
+
+def root_verdict(info: AffineTypeInfo, x: SigmaPoint | None) -> str:
+    """The root-module check of one member: ok, fail, or unknown (compound)."""
+    if x is None:
+        return "unknown"
+    return "ok" if invariants.is_root_module_pattern(info, x) else "fail"
+
+
+def roll_up(verdicts) -> str:
+    """fail if any check failed, else unknown if any is undecided, else pass."""
+    verdicts = list(verdicts)
+    if any(v.startswith("fail") for v in verdicts):
+        return "fail"
+    return "unknown" if "unknown" in verdicts else "pass"
 
 
 def check_strong(datum: DualityDatum) -> StrongReport:
     """Exhaustive label-level verification of the strong-datum axioms."""
     info = datum.info
-    n = datum.size
-    points = [_fund_point(m) for m in datum.members]
-
-    root_verdicts = []
-    for i in range(1, n + 1):
-        x = points[i - 1]
-        if x is None:
-            root_verdicts.append((i, "unknown"))
-        elif invariants.is_root_module_pattern(info, x):
-            root_verdicts.append((i, "ok"))
-        else:
-            root_verdicts.append((i, "fail"))
-
+    points = [fund_point(m) for m in datum.members]
+    root_verdicts = [(i, root_verdict(info, x)) for i, x in enumerate(points, start=1)]
     pair_verdicts = []
-    cartan_ok = True
-    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i, x in enumerate(points, start=1):
+        for j, y in enumerate(points, start=1):
             if i == j:
                 continue
-            x, y = points[i - 1], points[j - 1]
             if x is None or y is None:
                 pair_verdicts.append(((i, j), "unknown"))
-                cartan_ok = False
                 continue
-            profile = invariants.shift_profile(info, x, y)
-            matrix[i - 1][j - 1] = -profile.get(0, 0)
-            bad = min((k for k in profile if k != 0), default=None)
-            if bad is not None:
-                pair_verdicts.append(((i, j), f"fail(k={bad})"))
-            else:
-                pair_verdicts.append(((i, j), "ok"))
+            bad = min((k for k in invariants.shift_profile(info, x, y) if k != 0), default=None)
+            pair_verdicts.append(((i, j), "ok" if bad is None else f"fail(k={bad})"))
 
     verdicts = [v for _, v in pair_verdicts] + [v for _, v in root_verdicts]
     cartan = None
-    if cartan_ok:
+    if all(v != "unknown" for _, v in pair_verdicts):  # every pairing is exact
         try:
-            cartan = _validated_cartan(matrix)
+            cartan = _cartan_of(info, points)
         except DualityError:
-            cartan = None
-    if any(v.startswith("fail") for v in verdicts) or (cartan_ok and cartan is None):
-        overall = "fail"
-    elif any(v == "unknown" for v in verdicts):
-        overall = "unknown"
-    else:
-        overall = "pass"
+            verdicts.append("fail")
     return StrongReport(
-        overall=overall,
+        overall=roll_up(verdicts),
         pair_verdicts=tuple(pair_verdicts),
         root_verdicts=tuple(root_verdicts),
         cartan=cartan,
     )
 
 
-def _validated_cartan(matrix) -> tuple[tuple[int, ...], ...]:
-    n = len(matrix)
+def _cartan_of(info: AffineTypeInfo, points) -> tuple[tuple[int, ...], ...]:
+    """The matrix with off-diagonal -d(R_i, R_j), validated as a simply-laced
+    finite Cartan matrix; d is symmetric, so the matrix is."""
+    n = len(points)
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if matrix[i][j] != matrix[j][i]:
-                raise DualityError("induced pairing is not symmetric")
-            if matrix[i][j] not in (0, -1):
-                raise DualityError(
-                    f"induced pairing {matrix[i][j]} at {(i + 1, j + 1)} is not "
-                    "simply laced"
-                )
+        for j in range(i + 1, n):
+            c = -invariants.d_fund(info, points[i], points[j])
+            if c not in (0, -1):
+                raise DualityError(f"induced pairing {c} at {(i + 1, j + 1)} is not simply laced")
+            matrix[i][j] = matrix[j][i] = c
     if not leading_minors_positive(matrix):
         raise DualityError("induced matrix is not positive definite")
     return tuple(tuple(row) for row in matrix)
@@ -156,20 +153,12 @@ def induced_cartan(datum: DualityDatum) -> tuple[tuple[int, ...], ...]:
     """Matrix with off-diagonal -d(R_i, R_j); needs exact pairwise values."""
     if datum.cartan is not None:
         return datum.cartan
-    points = [_fund_point(m) for m in datum.members]
-    if any(x is None for x in points):
+    points = [fund_point(m) for m in datum.members]
+    if None in points:
         raise DualityError(
             "pairwise d is not exact for compound members; no cached matrix"
         )
-    n = datum.size
-    matrix = [
-        [
-            2 if i == j else -invariants.d_fund(datum.info, points[i], points[j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _validated_cartan(matrix)
+    return _cartan_of(datum.info, points)
 
 
 def classify_cartan(matrix) -> tuple[tuple[str, int], ...]:
@@ -266,19 +255,22 @@ def _reflected(
         strength="unknown",
         cartan=cartan,
     )
-    report = check_strong(new)
-    if report.overall == "pass":
-        strength = "verified"
-    elif report.overall == "unknown" and datum.strength in ("verified", "inherited"):
-        strength = "inherited"
-    elif report.overall == "fail" and datum.strength in ("verified", "inherited"):
-        raise DualityError(
-            "reflection of a strong datum failed the label checks; "
-            "the input flags were wrong"
-        )
-    else:
-        strength = "unknown"
-    return replace(new, strength=strength)
+    return replace(new, strength=_strength(check_strong(new).overall, datum.strength))
+
+
+def _strength(overall: str, carried: str) -> str:
+    """The strength of a datum whose label checks rolled up to ``overall``,
+    given the strength carried into it (``unknown`` for a new datum)."""
+    if overall == "pass":
+        return "verified"
+    if carried not in ("verified", "inherited"):
+        return "unknown"
+    if overall == "unknown":
+        return "inherited"
+    raise DualityError(
+        "reflection of a strong datum failed the label checks; "
+        "the input flags were wrong"
+    )
 
 
 def reflect(
@@ -326,8 +318,9 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
         # registered metadata-only type: the labels exist, the axioms are
         # not checkable without a denominator table
         return datum
-    strength = "verified" if report.overall == "pass" else "unknown"
-    return replace(datum, strength=strength, cartan=report.cartan)
+    return replace(
+        datum, strength=_strength(report.overall, datum.strength), cartan=report.cartan
+    )
 
 
 def braid_check(
@@ -399,6 +392,8 @@ def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
         except ValueError as err:
             raise DualityError(f"datum field 'members' entry {i}: {err}") from err
     provenance = data.get("provenance", "user")
+    if not isinstance(provenance, str):
+        raise DualityError(f"datum field 'provenance' must be a string, got {provenance!r}")
     complete = True if provenance == "from-Q" else None
     return DualityDatum(
         info=info, members=tuple(members), provenance=provenance, complete=complete

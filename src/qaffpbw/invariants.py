@@ -15,6 +15,10 @@ shifts of one argument:
                    = (Lambda - Lambda8) / 2
     zero_c(x, y)   = sum_{k >= 0} (-1)^k  d(x, D^k y)
 
+so Lambda = zero_c + de_tilde and Lambda8 = zero_c - de_tilde.  The ordered
+pair (x, y) is strongly unmixed when d(D^m x, y) = 0 for every m > 0, which
+``mixing_shift`` decides.
+
 All sums are finite because the zero multisets are.  ``shift_profile`` reads
 the k with d(x, D^k y) != 0 straight off the zeros: D^k y sits at node y or
 y* and exponent p_y + k h, so a zero m of d_{i,n} (n in {y, y*}) pins
@@ -80,12 +84,20 @@ def shift_profile(
     return profile
 
 
-def lambda_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
-    total = 0
+def _tails(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> tuple[int, int]:
+    """(de_tilde, zero_c): the signed profile sums over k <= -1 and k >= 0."""
+    de_tilde = zero_c = 0
     for k, value in shift_profile(info, x, y).items():
-        sign = -1 if (k + (1 if k < 0 else 0)) % 2 else 1
-        total += sign * value
-    return total
+        signed = -value if k % 2 else value  # (-1)^k d(x, D^k y)
+        if k < 0:
+            de_tilde -= signed
+        else:
+            zero_c += signed
+    return de_tilde, zero_c
+
+
+def lambda_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
+    return sum(_tails(info, x, y))
 
 
 def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
@@ -97,27 +109,19 @@ def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     key = ("lambda_inf", x.node, y.node, (x.power - y.power) % (2 * h))
     value = memo.get(key)
     if value is None:
-        profile = shift_profile(info, SigmaPoint(x.node, key[3]), SigmaPoint(y.node, 0))
-        value = memo[key] = sum((-1 if k % 2 else 1) * v for k, v in profile.items())
+        de_tilde, zero_c = _tails(info, SigmaPoint(x.node, key[3]), SigmaPoint(y.node, 0))
+        value = memo[key] = zero_c - de_tilde
     return value
 
 
 def de_tilde_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """Negative-shift tail; equals (Lambda - Lambda8)/2."""
-    total = 0
-    for k, value in shift_profile(info, x, y).items():
-        if k <= -1:
-            total += (-1 if (k + 1) % 2 else 1) * value
-    return total
+    return _tails(info, x, y)[0]
 
 
 def zero_c_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """Order of the zero of the renormalizing coefficient at z = 1."""
-    total = 0
-    for k, value in shift_profile(info, x, y).items():
-        if k >= 0:
-            total += (-1 if k % 2 else 1) * value
-    return total
+    return _tails(info, x, y)[1]
 
 
 def pairing_E(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
@@ -161,6 +165,13 @@ def root_coordinates(
     if any(c.denominator != 1 for c in solution):
         raise ValueError(f"label {x} is outside the root lattice of the basis")
     return tuple(int(c) for c in solution)
+
+
+def mixing_shift(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int | None:
+    """The least m > 0 with d(D^m x, y) != 0, or None when the ordered pair
+    (x, y) is strongly unmixed."""
+    # d(D^m x, y) = d(y, D^m x) since d is symmetric
+    return min((m for m in shift_profile(info, y, x) if m > 0), default=None)
 
 
 def is_root_module_pattern(info: AffineTypeInfo, x: SigmaPoint) -> bool:

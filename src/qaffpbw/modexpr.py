@@ -209,13 +209,11 @@ def certified_normal(info: AffineTypeInfo, factors: Sequence[Expr]) -> bool:
     if not all(isinstance(f, Fund) for f in factors):
         return False
     points = [f.point for f in factors]  # type: ignore[union-attr]
-    # d(D^m x, y) = d(y, D^m x) since d is symmetric
     return not any(
-        k > 0
+        invariants.mixing_shift(info, x, y) is not None
         for a, x in enumerate(points)
         for y in points[a + 1 :]
         if x != y
-        for k in invariants.shift_profile(info, y, x)
     )
 
 

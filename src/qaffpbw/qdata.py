@@ -87,18 +87,25 @@ def _is_strict_minimum(heights: list[int], node: int, adj) -> bool:
     return all(heights[node - 1] < heights[j - 1] for j in adj[node])
 
 
-def is_adapted(q: QDatum, word: Word) -> bool:
-    """True when the word spells w0 and follows the local-minimum rule."""
-    rs = q.root_system
-    if not rs.spells_longest(tuple(word)):
-        return False
+def _adapted_labels(q: QDatum, word: Word) -> list[SigmaPoint] | None:
+    """The labels (i_k, xi^(k)(i_k)) along the word, or None when the word
+    does not spell w0 or breaks the local-minimum rule."""
+    if not q.root_system.spells_longest(tuple(word)):
+        return None
     heights = list(q.heights)
     adj = _neighbors(q)
+    labels = []
     for letter in word:
         if not _is_strict_minimum(heights, letter, adj):
-            return False
+            return None
+        labels.append(SigmaPoint(letter, heights[letter - 1]))
         heights[letter - 1] += 2
-    return True
+    return labels
+
+
+def is_adapted(q: QDatum, word: Word) -> bool:
+    """True when the word spells w0 and follows the local-minimum rule."""
+    return _adapted_labels(q, word) is not None
 
 
 def _adapted_search(q: QDatum) -> Iterator[Word]:
@@ -144,16 +151,10 @@ def some_adapted_word(q: QDatum) -> Word:
 
 def phi(q: QDatum, word: Word) -> dict[Root, SigmaPoint]:
     """phi_Q on the positive roots, computed along an adapted word."""
-    if not is_adapted(q, word):
+    labels = _adapted_labels(q, word)
+    if labels is None:
         raise QDatumError(f"word {word} is not adapted to the Q-datum")
-    rs = q.root_system
-    betas = rs.beta_sequence(word)
-    heights = list(q.heights)
-    image: dict[Root, SigmaPoint] = {}
-    for letter, beta in zip(word, betas):
-        image[beta] = SigmaPoint(letter, heights[letter - 1])
-        heights[letter - 1] += 2
-    return image
+    return dict(zip(q.root_system.beta_sequence(word), labels))
 
 
 def fundamental_labels(q: QDatum) -> dict[int, SigmaPoint]:

@@ -17,6 +17,7 @@ from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
 Q_A2 = '{"xi":{"1":0,"2":1}}'
 DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
 MISMATCHED_DENOMS = '{"type":"E8^1","zeros":{"1,1":[2]}}'  # not the --type of any call
+PROVENANCE = DATUM_A2[:-1] + ',"provenance":%s}'
 
 
 def invoke(capsys, *argv):
@@ -298,6 +299,9 @@ def test_domain_error_exit_code(capsys):
             ),
             "--denoms",
         ),
+        (("reflect", "--type", "A2^1", "--datum", PROVENANCE % "[1]", "--node", "1"), "'provenance'"),
+        (("reflect", "--type", "A2^1", "--datum", PROVENANCE % "null", "--node", "1"), "'provenance'"),
+        (("check-strong", "--type", "A2^1", "--datum", PROVENANCE % "7"), "'provenance'"),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):

@@ -131,6 +131,18 @@ def test_verify_cuspidal_axioms_failure_strings():
     assert report["overall"] == "pass"
 
 
+def test_verify_cuspidal_axioms_compound_member():
+    # along 2,1,2 the window 1..3 holds S_2 = Head[S_3, S_1]: its pairs are
+    # not exact, so they stay unknown and are left out of the denominator check
+    seq = CuspidalSeq(ex1_datum(), (2, 1, 2))
+    assert seq.materialize(2) == Head((F(1, 2), F(1, 0)))
+    report = cuspidal.verify_cuspidal_axioms(seq, 1, 3)
+    assert report["root_module"] == {1: "ok", 2: "unknown", 3: "ok"}
+    assert report["strongly_unmixed"] == {(2, 1): "unknown", (3, 1): "ok", (3, 2): "unknown"}
+    assert report["denominator_nonvanishing"] == {(3, 1): "fail"}
+    assert report["overall"] == "fail"
+
+
 def test_verify_cuspidal_axioms_trivial_window():
     seq = CuspidalSeq(ex1_datum(), (1, 2, 1), FACTS)
     report = cuspidal.verify_cuspidal_axioms(seq, 2, 2)

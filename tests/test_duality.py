@@ -87,6 +87,16 @@ def test_reflect_examples():
     assert duality.induced_cartan(s2) == cartan("A", 2)
 
 
+def test_check_strong_compound_member():
+    # S_2 of the example has the compound member Head[R_2, R_1]: both pairs
+    # and its root-module check are undecided, so no matrix is induced
+    report = duality.check_strong(duality.reflect(ex1_datum(), 2))
+    assert report.pair_verdicts == (((1, 2), "unknown"), ((2, 1), "unknown"))
+    assert report.root_verdicts == ((1, "unknown"), (2, "ok"))
+    assert report.cartan is None
+    assert report.overall == "unknown"
+
+
 def test_reflect_then_inverse_is_identity():
     datum = ex1_datum()
     for k in (1, 2):

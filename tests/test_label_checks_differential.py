@@ -1,0 +1,490 @@
+"""The label checks of ``duality``, ``cuspidal`` and ``modexpr`` against the
+code they replaced.
+
+Each check now has one home: strong unmixedness is ``invariants.mixing_shift``,
+the induced Cartan matrix is built and validated by ``duality._cartan_of``, the
+member-to-label map, the root-module verdict and the roll-up are
+``duality.fund_point``, ``duality.root_verdict`` and ``duality.roll_up``, the
+strength of a datum is ``duality._strength``, Lambda, Lambda8, de_tilde and
+zero_c are read from ``invariants._tails``, and ``qdata`` walks an adapted
+word once.  The references below are the replaced code, kept here: each check
+spelled out where it was used.  Results are compared exactly; a raised error
+is compared by class and message.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from qaffpbw import affine, cuspidal, duality, invariants, modexpr, qdata
+from qaffpbw._linalg import leading_minors_positive
+from qaffpbw.affine import SigmaPoint, denom_zeros, type_info
+from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
+from qaffpbw.duality import DualityDatum, DualityError, StrongReport
+from qaffpbw.modexpr import Fund, FusionTable, Head
+from qaffpbw.qdata import QDatum, QDatumError
+from qaffpbw.rootsys import dynkin_edges
+
+P = SigmaPoint
+DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
+# a one-way entry (no (4, 3)) with a negative zero
+ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
+DATA_PER_TYPE = 150
+
+
+# ---------------------------------------------------------------------------
+# references: the replaced code
+
+
+def reference_fund_point(e):
+    return e.point if isinstance(e, Fund) else None
+
+
+def reference_root_pattern(info, x):
+    return invariants.shift_profile(info, x, x) == {-1: 1, 1: 1}
+
+
+def reference_validated_cartan(matrix):
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if matrix[i][j] != matrix[j][i]:
+                raise DualityError("induced pairing is not symmetric")
+            if matrix[i][j] not in (0, -1):
+                raise DualityError(
+                    f"induced pairing {matrix[i][j]} at {(i + 1, j + 1)} is not "
+                    "simply laced"
+                )
+    if not leading_minors_positive(matrix):
+        raise DualityError("induced matrix is not positive definite")
+    return tuple(tuple(row) for row in matrix)
+
+
+def reference_check_strong(datum):
+    info = datum.info
+    n = datum.size
+    points = [reference_fund_point(m) for m in datum.members]
+    root_verdicts = []
+    for i in range(1, n + 1):
+        x = points[i - 1]
+        if x is None:
+            root_verdicts.append((i, "unknown"))
+        elif reference_root_pattern(info, x):
+            root_verdicts.append((i, "ok"))
+        else:
+            root_verdicts.append((i, "fail"))
+    pair_verdicts = []
+    cartan_ok = True
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            x, y = points[i - 1], points[j - 1]
+            if x is None or y is None:
+                pair_verdicts.append(((i, j), "unknown"))
+                cartan_ok = False
+                continue
+            profile = invariants.shift_profile(info, x, y)
+            matrix[i - 1][j - 1] = -profile.get(0, 0)
+            bad = min((k for k in profile if k != 0), default=None)
+            if bad is not None:
+                pair_verdicts.append(((i, j), f"fail(k={bad})"))
+            else:
+                pair_verdicts.append(((i, j), "ok"))
+    verdicts = [v for _, v in pair_verdicts] + [v for _, v in root_verdicts]
+    cartan = None
+    if cartan_ok:
+        try:
+            cartan = reference_validated_cartan(matrix)
+        except DualityError:
+            cartan = None
+    if any(v.startswith("fail") for v in verdicts) or (cartan_ok and cartan is None):
+        overall = "fail"
+    elif any(v == "unknown" for v in verdicts):
+        overall = "unknown"
+    else:
+        overall = "pass"
+    return StrongReport(
+        overall=overall,
+        pair_verdicts=tuple(pair_verdicts),
+        root_verdicts=tuple(root_verdicts),
+        cartan=cartan,
+    )
+
+
+def reference_induced_cartan(datum):
+    if datum.cartan is not None:
+        return datum.cartan
+    points = [reference_fund_point(m) for m in datum.members]
+    if any(x is None for x in points):
+        raise DualityError("pairwise d is not exact for compound members; no cached matrix")
+    n = datum.size
+    matrix = [
+        [2 if i == j else -invariants.d_fund(datum.info, points[i], points[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    return reference_validated_cartan(matrix)
+
+
+def reference_reflected_strength(datum, new):
+    """The strength ``_reflected`` gave ``new``, a reflection of ``datum``."""
+    report = reference_check_strong(new)
+    if report.overall == "pass":
+        return "verified"
+    if report.overall == "unknown" and datum.strength in ("verified", "inherited"):
+        return "inherited"
+    if report.overall == "fail" and datum.strength in ("verified", "inherited"):
+        raise DualityError(
+            "reflection of a strong datum failed the label checks; the input flags were wrong"
+        )
+    return "unknown"
+
+
+def reference_from_q_datum(info, q):
+    labels = reference_phi(q, qdata.some_adapted_word(q))
+    rs = q.root_system
+    members = tuple(Fund(labels[rs.simple_root(i)]) for i in rs.nodes)
+    datum = DualityDatum(info=info, members=members, provenance="from-Q", complete=True)
+    report = reference_check_strong(datum)
+    strength = "verified" if report.overall == "pass" else "unknown"
+    return replace(datum, strength=strength, cartan=report.cartan)
+
+
+def reference_verify_cuspidal_axioms(seq, lo, hi):
+    info = seq.info
+    labels = {k: seq.materialize(k) for k in range(lo, hi + 1)}
+    points = {k: v.point if isinstance(v, Fund) else None for k, v in labels.items()}
+    report = {
+        "window": (lo, hi),
+        "root_module": {},
+        "strongly_unmixed": {},
+        "denominator_nonvanishing": {},
+    }
+    for k, x in points.items():
+        report["root_module"][k] = (
+            "unknown" if x is None else "ok" if reference_root_pattern(info, x) else "fail"
+        )
+    for a in range(lo, hi + 1):
+        for b in range(lo, a):
+            x, y = points[a], points[b]
+            if x is None or y is None:
+                report["strongly_unmixed"][(a, b)] = "unknown"
+                continue
+            profile = invariants.shift_profile(info, y, x)
+            bad = min((m for m in profile if m > 0), default=None)
+            report["strongly_unmixed"][(a, b)] = "ok" if bad is None else f"fail(m={bad})"
+            vanishes = y.power - x.power in denom_zeros(info, x.node, y.node)
+            report["denominator_nonvanishing"][(a, b)] = "fail" if vanishes else "ok"
+    values = (
+        list(report["root_module"].values())
+        + list(report["strongly_unmixed"].values())
+        + list(report["denominator_nonvanishing"].values())
+    )
+    report["overall"] = (
+        "fail"
+        if any(str(v).startswith("fail") for v in values)
+        else "unknown" if any(v == "unknown" for v in values) else "pass"
+    )
+    return report
+
+
+def reference_certified_normal(info, factors):
+    if not all(isinstance(f, Fund) for f in factors):
+        return False
+    points = [f.point for f in factors]
+    return not any(
+        k > 0
+        for a, x in enumerate(points)
+        for y in points[a + 1 :]
+        if x != y
+        for k in invariants.shift_profile(info, y, x)
+    )
+
+
+def reference_sums(info, x, y):
+    """(Lambda, Lambda8, de_tilde, zero_c), each its own loop over the profile."""
+    profile = invariants.shift_profile(info, x, y)
+    lam = sum(
+        (-1 if (k + (1 if k < 0 else 0)) % 2 else 1) * value for k, value in profile.items()
+    )
+    lam_inf = sum((-1 if k % 2 else 1) * value for k, value in profile.items())
+    de_tilde = sum(
+        (-1 if (k + 1) % 2 else 1) * value for k, value in profile.items() if k <= -1
+    )
+    zero_c = sum((-1 if k % 2 else 1) * value for k, value in profile.items() if k >= 0)
+    return lam, lam_inf, de_tilde, zero_c
+
+
+def _neighbors(q):
+    adj = {i: [] for i in range(1, q.rank + 1)}
+    for i, j in dynkin_edges(q.type_letter, q.rank):
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def reference_is_adapted(q, word):
+    if not q.root_system.spells_longest(tuple(word)):
+        return False
+    heights = list(q.heights)
+    adj = _neighbors(q)
+    for letter in word:
+        if not all(heights[letter - 1] < heights[j - 1] for j in adj[letter]):
+            return False
+        heights[letter - 1] += 2
+    return True
+
+
+def reference_phi(q, word):
+    if not reference_is_adapted(q, word):
+        raise QDatumError(f"word {word} is not adapted to the Q-datum")
+    heights = list(q.heights)
+    image = {}
+    for letter, beta in zip(word, q.root_system.beta_sequence(word)):
+        image[beta] = SigmaPoint(letter, heights[letter - 1])
+        heights[letter - 1] += 2
+    return image
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (ValueError, KeyError) as err:
+        return ("raised", type(err), str(err))
+
+
+def assert_same_datum_checks(datum):
+    assert outcome(duality.check_strong, datum) == outcome(reference_check_strong, datum), datum
+    assert outcome(duality.induced_cartan, datum) == outcome(
+        reference_induced_cartan, datum
+    ), datum
+
+
+def assert_same_window(seq, lo, hi):
+    assert cuspidal.verify_cuspidal_axioms(seq, lo, hi) == reference_verify_cuspidal_axioms(
+        seq, lo, hi
+    ), (seq.word, lo, hi)
+
+
+def assert_same_pair_checks(info, x, y):
+    lam, lam_inf, de_tilde, zero_c = reference_sums(info, x, y)
+    assert invariants.lambda_fund(info, x, y) == lam, (x, y)
+    assert invariants.lambda_inf_fund(info, x, y) == lam_inf, (x, y)
+    assert invariants.de_tilde_fund(info, x, y) == de_tilde, (x, y)
+    assert invariants.zero_c_fund(info, x, y) == zero_c, (x, y)
+    factors = [Fund(x), Fund(y)]
+    assert modexpr.certified_normal(info, factors) == reference_certified_normal(info, factors)
+
+
+def reflections(datum, facts):
+    """S_k and S_k^-1 of the datum at every node, as outcomes, with the
+    reference strength of each."""
+    out = []
+    for k in range(1, datum.size + 1):
+        for inverse in (False, True):
+            step = duality.reflect_inv if inverse else duality.reflect
+            got = outcome(step, datum, k, facts)
+            matrix = outcome(reference_induced_cartan, datum)
+            if matrix[0] == "raised":
+                assert got == matrix
+                continue
+            cartan = matrix[1]
+            members = duality._reflect_members(datum, cartan, k, inverse, facts)
+            new = replace(datum, members=members, strength="unknown", cartan=cartan)
+            expected = outcome(reference_reflected_strength, datum, new)
+            if got[0] == "value":
+                assert ("value", got[1].strength) == expected
+                assert got[1].members == members and got[1].cartan == cartan
+                out.append(got[1])
+            else:
+                assert got == expected
+    return out
+
+
+@pytest.fixture
+def restored_tables():
+    saved = dict(affine._EXTERNAL_TABLES)
+    yield
+    affine._EXTERNAL_TABLES.clear()
+    affine._EXTERNAL_TABLES.update(saved)
+
+
+# ---------------------------------------------------------------------------
+# Q-data at A1-A4: the canonical data, their reflections, and cuspidal windows
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_q_data_and_their_reflections(rank):
+    info = type_info(f"A{rank}^1")
+    for facts in (None, FusionTable.builtin(info)):
+        for heights in qdata.all_height_functions("A", rank):
+            q = QDatum("A", rank, heights)
+            datum = duality.from_q_datum(info, q)
+            assert datum == reference_from_q_datum(info, q)
+            assert_same_datum_checks(datum)
+            for reflected in reflections(datum, facts):
+                assert_same_datum_checks(reflected)
+
+
+def test_reflections_give_compound_members():
+    datum = duality.from_q_datum(type_info("A2^1"), QDatum("A", 2, (0, 1)))
+    reflected = reflections(datum, None)
+    assert any(
+        any(not isinstance(m, Fund) for m in r.members) for r in reflected
+    )
+
+
+def test_one_compound_member():
+    # no pairing is needed, so check_strong reports the 1x1 matrix, while
+    # induced_cartan refuses any compound member
+    info = type_info("A2^1")
+    datum = DualityDatum(info=info, members=(Head((Fund(P(1, 2)), Fund(P(1, 0)))),))
+    assert duality.check_strong(datum).cartan == ((2,),)
+    assert_same_datum_checks(datum)
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_cuspidal_windows(rank):
+    info = type_info(f"A{rank}^1")
+    facts = FusionTable.builtin(info)
+    ell = rank * (rank + 1) // 2
+    for heights in qdata.all_height_functions("A", rank):
+        q = QDatum("A", rank, heights)
+        datum = duality.from_q_datum(info, q)
+        words = list(qdata.adapted_words(q))[:3]
+        for word in words:
+            assert_same_window(FundamentalCuspidalSeq(info, q, word), 1 - ell, 2 * ell)
+            assert_same_window(CuspidalSeq(datum, word, facts), 1 - ell, 2 * ell)
+        for k in (1, rank):
+            reflected = duality.reflect(datum, k, facts)
+            assert_same_window(CuspidalSeq(reflected, words[0], facts), -1, ell + 1)
+
+
+def test_cuspidal_windows_on_a_word_not_adapted_to_the_datum():
+    info = type_info("A2^1")
+    datum = duality.from_q_datum(info, QDatum("A", 2, (0, 1)))
+    for facts in (None, FusionTable.builtin(info)):
+        seq = CuspidalSeq(datum, (2, 1, 2), facts)
+        for lo, hi in ((1, 3), (-3, 6), (2, 2), (4, 9)):
+            assert_same_window(seq, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# seeded families of sigma0 fundamentals, some with Head members
+
+
+def random_member(rng, points):
+    if rng.random() < 0.2:
+        return Head((Fund(rng.choice(points)), Fund(rng.choice(points))))
+    return Fund(rng.choice(points))
+
+
+def seeded_data(info, rng, count):
+    """Random data of sizes 1..rank + 1, and translated Q-data members with
+    one member moved, from sigma0 points in -2h..2h."""
+    h = info.dual_shift_exponent
+    points = info.sigma0_points(-2 * h, 2 * h)
+    letter, rank = info.fin_type
+    heights = list(qdata.all_height_functions(letter, rank))
+    for _ in range(count):
+        size = rng.randint(1, rank + 1)
+        yield DualityDatum(info=info, members=tuple(random_member(rng, points) for _ in range(size)))
+        labels = qdata.fundamental_labels(QDatum(letter, rank, rng.choice(heights)))
+        shift = 2 * rng.randint(-h, h)
+        members = [Fund(P(p.node, p.power + shift)) for p in labels.values()]
+        members[rng.randrange(rank)] = random_member(rng, points)
+        yield DualityDatum(info=info, members=tuple(members))
+
+
+def assert_same_on_seeded_family(info, seed):
+    rng = random.Random(seed)
+    h = info.dual_shift_exponent
+    points = info.sigma0_points(-2 * h, 2 * h)
+    for datum in seeded_data(info, rng, DATA_PER_TYPE):
+        assert_same_datum_checks(datum)
+    for _ in range(DATA_PER_TYPE):
+        assert_same_pair_checks(info, rng.choice(points), rng.choice(points))
+        factors = [random_member(rng, points) for _ in range(rng.randint(0, 5))]
+        assert modexpr.certified_normal(info, factors) == reference_certified_normal(
+            info, factors
+        ), factors
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_seeded_families(rank):
+    assert_same_on_seeded_family(type_info(f"A{rank}^1"), rank)
+
+
+def test_every_pair_of_a_window():
+    info = type_info("A3^1")
+    h = info.dual_shift_exponent
+    points = info.sigma0_points(-2 * h, 2 * h)
+    for x in points:
+        for y in points:
+            assert_same_pair_checks(info, x, y)
+
+
+# ---------------------------------------------------------------------------
+# registered D4^1 tables, where the zero table is not symmetric
+
+
+@pytest.mark.parametrize("zeros", [DEMO_D4, ASYMMETRIC_D4], ids=["demo", "asymmetric"])
+def test_registered_d4_tables(restored_tables, zeros):
+    affine.register_denominator_table("D4^1", zeros)
+    info = type_info("D4^1")
+    assert_same_on_seeded_family(info, 4)
+    for heights in qdata.all_height_functions("D", 4):
+        q = QDatum("D", 4, heights)
+        datum = duality.from_q_datum(info, q)
+        assert datum == reference_from_q_datum(info, q)
+        assert_same_datum_checks(datum)
+        reflections(datum, None)
+        assert_same_window(FundamentalCuspidalSeq(info, q, qdata.some_adapted_word(q)), -3, 14)
+
+
+# one-way tables whose pairs all pass the k-scan while the induced matrix is
+# not a finite Cartan matrix: a double pairing, and a triangle of pairings
+INVALID_MATRIX_TABLES = [
+    ({(1, 1): [6], (2, 2): [6], (1, 2): [3, 3]}, [P(1, 0), P(2, 3)]),
+    (
+        {(1, 1): [6], (2, 2): [6], (3, 3): [6], (1, 2): [3], (2, 3): [3], (1, 3): [6]},
+        [P(1, 0), P(2, 3), P(3, 6)],
+    ),
+]
+
+
+@pytest.mark.parametrize("zeros, points", INVALID_MATRIX_TABLES, ids=["double", "triangle"])
+def test_exact_pairs_with_an_invalid_matrix(restored_tables, zeros, points):
+    affine.register_denominator_table("D4^1", zeros)
+    datum = DualityDatum(info=type_info("D4^1"), members=tuple(Fund(p) for p in points))
+    report = duality.check_strong(datum)
+    assert {v for _, v in report.pair_verdicts + report.root_verdicts} == {"ok"}
+    assert (report.overall, report.cartan) == ("fail", None)
+    assert_same_datum_checks(datum)
+
+
+# ---------------------------------------------------------------------------
+# adapted words and the label map
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_is_adapted_and_phi(rank):
+    heights = list(qdata.all_height_functions("A", rank))
+    adapted = sorted({w for h in heights for w in qdata.adapted_words(QDatum("A", rank, h))})
+    words = adapted + [w[:-1] for w in adapted] + [w[1:] + w[:1] for w in adapted]
+    for h in heights:
+        q = QDatum("A", rank, h)
+        for word in words:
+            assert qdata.is_adapted(q, word) == reference_is_adapted(q, word), (h, word)
+            assert outcome(qdata.phi, q, word) == outcome(reference_phi, q, word), (h, word)
+            assert outcome(qdata.phi, q, list(word)) == outcome(reference_phi, q, list(word))
