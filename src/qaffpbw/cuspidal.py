@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import duality as duality_mod
 from . import invariants, modexpr
-from .affine import denom_zeros, dual_point
+from .affine import SigmaPoint, denom_zeros, dual_point
 from .duality import DualityDatum
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .rootsys import RootSystem, RootSystemError, Word
@@ -147,6 +147,10 @@ class CuspidalSeq:
     def range(self, lo: int, hi: int) -> list[Expr]:
         return [self.materialize(k) for k in range(lo, hi + 1)]
 
+    def label(self, k: int) -> SigmaPoint | None:
+        """The label of S_k, or None when S_k is compound."""
+        return duality_mod.fund_point(self.materialize(k))
+
 
 class FundamentalCuspidalSeq:
     """Cuspidal labels of a Q-datum along an adapted word.
@@ -155,6 +159,9 @@ class FundamentalCuspidalSeq:
     map of the Q-datum: S_{s + m*l} is the m-th dual shift of the image of
     beta_s.  The labels cover sigma0 bijectively, which makes the sequence
     invertible (the basis of the exponent-vector parametrization).
+
+    The dual-shift exponent h is read once, and each base S_s is kept with
+    its node and the star of its node, so ``label`` is arithmetic on those.
     """
 
     def __init__(self, info, q, word: Word, facts: FusionTable | None = None):
@@ -164,31 +171,37 @@ class FundamentalCuspidalSeq:
         self.q = q
         self.word = tuple(word)
         self.facts = facts
-        if not qdata.is_adapted(q, self.word):
+        try:
+            mapping = qdata.phi(q, self.word)
+        except qdata.QDatumError:
             raise duality_mod.DualityError(
                 f"word {word} is not adapted to the Q-datum"
-            )
+            ) from None
         self.rs = q.root_system
         self.ell = len(self.word)
-        mapping = qdata.phi(q, self.word)
         betas = self.rs.beta_sequence(self.word)
         self._base = [mapping[b] for b in betas]  # S_1 .. S_l
         # S_{s + m*l} = D^m(S_s) repeats its node with period 2 in m, so the
         # labels D^e(S_s), e in {0, 1}, keyed by (node, power mod 2h) find
         # every S_k at a given label
-        h = info.dual_shift_exponent
+        self._h = h = info.dual_shift_exponent
         self._index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         if h is not None:
+            # (node, star of node, power) of each base S_s
+            self._nodes = [(b.node, info.star(b.node), b.power) for b in self._base]
             for s, base in enumerate(self._base, start=1):
                 for e in (0, 1):
-                    node, power = dual_point(info, base, e)
+                    node, power = self.label(s + e * self.ell)
                     self._index.setdefault((node, power % (2 * h)), []).append(
                         (s, e, power)
                     )
 
     def label(self, k: int):
         shift, k0 = divmod(k - 1, self.ell)
-        return dual_point(self.info, self._base[k0], shift)
+        if self._h is None:  # raises NoProviderError: no single (-q)-lattice
+            return dual_point(self.info, self._base[k0], shift)
+        node, star, power = self._nodes[k0]
+        return SigmaPoint(star if shift % 2 else node, power + shift * self._h)
 
     def materialize(self, k: int) -> Expr:
         return Fund(self.label(k))
@@ -198,22 +211,19 @@ class FundamentalCuspidalSeq:
 
     def index_of(self, point) -> int:
         """The unique k with S_k at the given label; sigma0 bijectivity."""
-        h = self.info.dual_shift_exponent
-        if h is None:
+        if self._h is None:
             raise duality_mod.DualityError(
                 f"{self.info.name}: labels do not form a single (-q)-lattice"
             )
-        period = 2 * h
-        hits = [
-            s + (e + 2 * ((point.power - power) // period)) * self.ell
-            for s, e, power in self._index.get((point.node, point.power % period), ())
-        ]
+        period = 2 * self._h
+        hits = self._index.get((point.node, point.power % period), ())
         if len(hits) != 1:
             raise duality_mod.DualityError(
                 f"label {point} is covered {len(hits)} times; "
                 "expected a bijective cuspidal sequence"
             )
-        return hits[0]
+        ((s, e, power),) = hits
+        return s + (e + 2 * ((point.power - power) // period)) * self.ell
 
     def general_sequence(self) -> CuspidalSeq:
         """The same data through the minimal-pair construction."""

@@ -11,12 +11,14 @@ two scans is a first-class Incomparable outcome.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from . import invariants
 from .affine import SigmaPoint, dual_point, json_int, point_from_json
-from .modexpr import Expr, Fund
+from .modexpr import Expr
 
 __all__ = [
     "ExpVec",
@@ -62,7 +64,10 @@ class ExpVec:
         return cls(tuple(cleaned))
 
     def __getitem__(self, k: int) -> int:
-        return dict(self.entries).get(k, 0)
+        i = bisect_left(self.entries, (k,))
+        if i < len(self.entries) and self.entries[i][0] == k:
+            return self.entries[i][1]
+        return 0
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -134,27 +139,30 @@ def decompose(multiset, seq) -> ExpVec:
     """Exponent vector of a dominant multiset of fundamental labels.
 
     The sequence must cover sigma0 bijectively by fundamentals (a Q-datum
-    sequence or one of its shifts).
+    sequence or one of its shifts).  Each distinct label is looked up once,
+    in order of first occurrence, and its multiplicity is the exponent:
+    ``index_of`` is injective (S_k is the label it was asked for).
     """
-    counts: dict[int, int] = {}
-    for point in multiset:
-        k = seq.index_of(point)
-        counts[k] = counts.get(k, 0) + 1
-    return ExpVec.from_dict(counts)
+    counts = Counter(multiset)
+    return ExpVec(tuple(sorted((seq.index_of(x), m) for x, m in counts.items())))
 
 
 def compose(a: ExpVec, seq) -> list[SigmaPoint]:
-    """Multiset of labels with multiplicities a_k; inverse of decompose."""
-    points: list[SigmaPoint] = []
+    """Multiset of labels with multiplicities a_k; inverse of decompose.
+
+    Reads ``seq.label(k)`` for each support index; the distinct labels are
+    sorted once and then repeated.
+    """
+    counts: dict[SigmaPoint, int] = {}
     for k, mult in a.entries:
-        value = seq.materialize(k)
-        if not isinstance(value, Fund):
+        point = seq.label(k)
+        if point is None:
             raise ValueError(
                 f"S_{k} is not a fundamental label; the vector is not "
                 "composable over this sequence"
             )
-        points.extend([value.point] * mult)
-    return sorted(points)
+        counts[point] = counts.get(point, 0) + mult
+    return [point for point in sorted(counts) for _ in range(counts[point])]
 
 
 def dshift(a: ExpVec, m: int, ell: int) -> ExpVec:

@@ -50,6 +50,17 @@ def test_materialize_other_word():
     assert seq.materialize(5) == Head((F(2, 5), F(2, 3)))
 
 
+def test_label_of_general_sequence():
+    # along 2,1,2 every S_k with k = 2 mod 3 is compound and has no label
+    seq = CuspidalSeq(ex1_datum(), (2, 1, 2), FACTS)
+    assert [seq.label(k) for k in range(-2, 7)] == [
+        P(2, -1), None, P(2, -3), P(1, 2), None, P(1, 0), P(2, 5), None, P(2, 3)
+    ]
+    for k in range(-2, 7):
+        value = seq.materialize(k)
+        assert seq.label(k) == (value.point if isinstance(value, Fund) else None)
+
+
 def test_materialize_reflected_datum():
     s2 = duality.reflect(ex1_datum(), 2, FACTS)
     seq = CuspidalSeq(s2, (1, 2, 1), FACTS)

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from qaffpbw import pbw, qdata
+from qaffpbw import duality, pbw, qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
-from qaffpbw.cuspidal import FundamentalCuspidalSeq
+from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from qaffpbw.modexpr import Fund, FusionTable
 from qaffpbw.pbw import Cmp, ExpVec
 from qaffpbw.qdata import QDatum
@@ -65,6 +65,33 @@ def test_compose_inverse():
     for data in ({1: 2, 4: 1}, {}, {0: 1}, {-2: 1, 3: 2, 7: 1}):
         vec = V(data)
         assert pbw.decompose(pbw.compose(vec, seq), seq) == vec
+
+
+def test_compose_over_general_sequence():
+    # along 2,1,2 the label map gives S_1 = (1,2), S_2 compound, S_3 = (1,0)
+    q = QDatum("A", 2, (0, 1))
+    facts = FusionTable.builtin(A2)
+    seq = CuspidalSeq(duality.from_q_datum(A2, q), (2, 1, 2), facts)
+    assert pbw.compose(V({1: 1, 3: 2, 4: 1}), seq) == [P(1, 0), P(1, 0), P(1, 2), P(2, 5)]
+    for data in ({2: 1}, {1: 1, 2: 3, 5: 1}):
+        with pytest.raises(ValueError) as err:
+            pbw.compose(V(data), seq)
+        assert str(err.value) == (
+            "S_2 is not a fundamental label; the vector is not composable "
+            "over this sequence"
+        )
+
+
+def test_getitem_randomized():
+    rng = random.Random(7)
+    for _ in range(300):
+        support = rng.sample(range(-20, 21), rng.randint(0, 20))
+        vec = V({k: rng.randint(1, 3) for k in support})
+        table = dict(vec.entries)
+        # absent, negative and beyond-the-support indices included
+        for k in range(-30, 31):
+            assert vec[k] == table.get(k, 0), (vec, k)
+    assert V({})[0] == 0
 
 
 def test_decompose_rejects_off_lattice():

@@ -1,11 +1,17 @@
-"""The linear exponent-vector comparators and the sigma0 index against the
-scans they replaced.
+"""The linear exponent-vector comparators, the sigma0 index and the
+exponent-vector bijection against the code they replaced.
 
 ``cmp_left``/``cmp_right`` walk the two sorted entry tuples in step and stop
 at the first difference; ``reference_cmp`` below is the union-of-supports
 scan they replaced.  ``FundamentalCuspidalSeq.index_of`` reads a dict keyed
 by (node, power mod 2h); ``reference_index_of`` is the per-base
 ``dual_point`` scan it replaced, with the same error text.
+``FundamentalCuspidalSeq.label`` reads the stored node, star and power of
+each base label; ``reference_label`` is the ``dual_point`` call it replaced.
+``decompose`` looks up each distinct label once and ``compose`` reads
+``label`` and sorts the distinct labels once; ``reference_decompose`` looks
+up every point and ``reference_compose`` materializes every entry and sorts
+every copy.
 """
 
 from __future__ import annotations
@@ -18,12 +24,15 @@ from qaffpbw import pbw, qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
 from qaffpbw.cuspidal import FundamentalCuspidalSeq
 from qaffpbw.duality import DualityError
+from qaffpbw.modexpr import Fund
 from qaffpbw.pbw import Cmp, ExpVec
 from qaffpbw.qdata import QDatum
 
 PAIRS_PER_KIND = 1000
 HEIGHTS_PER_TYPE = 5
 POWERS = range(-30, 31)
+MULTISETS_PER_SEQ = 4
+TYPES = [("A", rank) for rank in range(1, 9)] + [("D", 4), ("E", 6)]
 
 
 def reference_cmp(a: ExpVec, b: ExpVec, from_right: bool) -> int:
@@ -115,11 +124,39 @@ def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
     return hits[0]
 
 
-def _outcome(index_of, point):
+def reference_label(seq: FundamentalCuspidalSeq, k: int) -> SigmaPoint:
+    shift, k0 = divmod(k - 1, seq.ell)
+    return dual_point(seq.info, seq._base[k0], shift)
+
+
+def reference_decompose(multiset, seq) -> ExpVec:
+    counts: dict[int, int] = {}
+    for point in multiset:
+        k = seq.index_of(point)
+        counts[k] = counts.get(k, 0) + 1
+    return ExpVec.from_dict(counts)
+
+
+def reference_compose(a: ExpVec, seq) -> list[SigmaPoint]:
+    points: list[SigmaPoint] = []
+    for k, mult in a.entries:
+        value = seq.materialize(k)
+        if not isinstance(value, Fund):
+            raise ValueError(
+                f"S_{k} is not a fundamental label; the vector is not "
+                "composable over this sequence"
+            )
+        points.extend([value.point] * mult)
+    return sorted(points)
+
+
+def _outcome(fn, *args):
+    """The result, or the error class and message (DualityError and
+    NoProviderError are ValueErrors)."""
     try:
-        return index_of(point)
-    except DualityError as err:
-        return f"DualityError: {err}"
+        return fn(*args)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def _assert_index_matches(seq: FundamentalCuspidalSeq, nodes) -> set:
@@ -192,3 +229,105 @@ def test_repeated_base_label_is_covered_twice(monkeypatch):
     assert _outcome(seq.index_of, point) == _outcome(
         lambda x: reference_index_of(seq, x), point
     )
+
+
+def _repeating_phi_seq(monkeypatch) -> FundamentalCuspidalSeq:
+    """An A2 sequence whose label map sends beta_2 to the label of beta_1."""
+    q = QDatum("A", 2, (0, 1))
+    word = qdata.some_adapted_word(q)
+    real_phi = qdata.phi
+
+    def repeating_phi(q, word):
+        mapping = real_phi(q, word)
+        first, second = q.root_system.beta_sequence(word)[:2]
+        return {**mapping, second: mapping[first]}
+
+    monkeypatch.setattr(qdata, "phi", repeating_phi)
+    return FundamentalCuspidalSeq(type_info("A2^1"), q, word)
+
+
+def _bijection_cases(rng: random.Random, seq: FundamentalCuspidalSeq):
+    """Seeded (vector, multiset) pairs with repeated labels: each multiset,
+    its dual shift, and a copy with off-sigma0 or out-of-range labels mixed in."""
+    rank = seq.rs.rank
+    for _ in range(MULTISETS_PER_SEQ):
+        ks = rng.sample(range(-3 * seq.ell, 3 * seq.ell), rng.randint(1, 2 * seq.ell))
+        vec = ExpVec.from_dict({k: rng.randint(1, 4) for k in ks})
+        multiset = [reference_label(seq, k) for k, v in vec.entries for _ in range(v)]
+        rng.shuffle(multiset)
+        yield vec, multiset
+        yield pbw.dshift(vec, 1, seq.ell), [dual_point(seq.info, x, 1) for x in multiset]
+        mixed = list(multiset)
+        for _ in range(rng.randint(1, 3)):
+            stray = SigmaPoint(rng.randint(0, rank + 1), rng.choice(POWERS))
+            mixed.insert(rng.randint(0, len(mixed)), stray)
+        yield vec, mixed
+
+
+@pytest.mark.parametrize("letter, rank", TYPES)
+def test_bijection_matches_per_point_code(letter, rank):
+    rng = random.Random(f"pbw-bijection-{letter}{rank}")
+    outcomes = set()
+    for seq in _sequences(letter, rank):
+        for vec, multiset in _bijection_cases(rng, seq):
+            got = _outcome(pbw.decompose, multiset, seq)
+            assert got == _outcome(reference_decompose, multiset, seq), multiset
+            composed = _outcome(pbw.compose, vec, seq)
+            assert composed == _outcome(reference_compose, vec, seq), vec
+            outcomes.add(type(got))
+    # both the vectors and the error texts are compared
+    assert outcomes == {ExpVec, str}
+
+
+@pytest.mark.parametrize("letter, rank", TYPES)
+def test_label_matches_dual_point(letter, rank):
+    for seq in _sequences(letter, rank):
+        for k in range(-40 * seq.ell, 40 * seq.ell + 1):
+            assert seq.label(k) == reference_label(seq, k), k
+
+
+def test_decompose_reports_the_first_uncovered_label():
+    q = QDatum("A", 3, (0, 1, 0))
+    seq = FundamentalCuspidalSeq(type_info("A3^1"), q, qdata.some_adapted_word(q))
+    good = [seq.label(k) for k in (1, 2, 1, 5)]
+    off_lattice, outside = SigmaPoint(1, 1), SigmaPoint(4, 0)
+    multiset = good[:2] + [off_lattice] + good[2:] + [outside, off_lattice]
+    got = _outcome(pbw.decompose, multiset, seq)
+    assert got == _outcome(reference_decompose, multiset, seq)
+    assert got == (
+        f"DualityError: label {off_lattice} is covered 0 times; "
+        "expected a bijective cuspidal sequence"
+    )
+
+
+def test_doubly_covered_label_through_decompose(monkeypatch):
+    seq = _repeating_phi_seq(monkeypatch)
+    point = seq._base[0]
+    other = seq._base[2]
+    assert other != point
+    multiset = [other, other, dual_point(seq.info, point, -3), point]
+    got = _outcome(pbw.decompose, multiset, seq)
+    assert got == _outcome(reference_decompose, multiset, seq)
+    assert got.startswith("DualityError: ") and "covered 2 times" in got
+    # S_1 and S_2 share a label, so compose repeats it for both entries
+    vec = ExpVec.from_dict({1: 2, 2: 1, 3: 1})
+    assert pbw.compose(vec, seq) == reference_compose(vec, seq) == sorted(
+        [point] * 3 + [other]
+    )
+
+
+def test_bijection_without_a_single_lattice():
+    q = QDatum("A", 2, (0, 1))
+    seq = FundamentalCuspidalSeq(type_info("B2^1"), q, qdata.some_adapted_word(q))
+    for k in range(-2 * seq.ell, 2 * seq.ell + 1):
+        got = _outcome(seq.label, k)
+        assert got == _outcome(reference_label, seq, k)
+        assert got.startswith("NoProviderError: ")
+    multiset = [SigmaPoint(1, 0), SigmaPoint(1, 0)]
+    got = _outcome(pbw.decompose, multiset, seq)
+    assert got == _outcome(reference_decompose, multiset, seq)
+    assert "single (-q)-lattice" in got
+    vec = ExpVec.from_dict({1: 1, 4: 2})
+    got = _outcome(pbw.compose, vec, seq)
+    assert got == _outcome(reference_compose, vec, seq)
+    assert got.startswith("NoProviderError: ")
