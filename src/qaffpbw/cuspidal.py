@@ -159,9 +159,6 @@ class FundamentalCuspidalSeq:
     map of the Q-datum: S_{s + m*l} is the m-th dual shift of the image of
     beta_s.  The labels cover sigma0 bijectively, which makes the sequence
     invertible (the basis of the exponent-vector parametrization).
-
-    The dual-shift exponent h is read once, and each base S_s is kept with
-    its node and the star of its node, so ``label`` is arithmetic on those.
     """
 
     def __init__(self, info, q, word: Word, facts: FusionTable | None = None):
@@ -184,24 +181,19 @@ class FundamentalCuspidalSeq:
         # S_{s + m*l} = D^m(S_s) repeats its node with period 2 in m, so the
         # labels D^e(S_s), e in {0, 1}, keyed by (node, power mod 2h) find
         # every S_k at a given label
-        self._h = h = info.dual_shift_exponent
+        h = info.dual_shift_exponent
         self._index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         if h is not None:
-            # (node, star of node, power) of each base S_s
-            self._nodes = [(b.node, info.star(b.node), b.power) for b in self._base]
             for s, base in enumerate(self._base, start=1):
                 for e in (0, 1):
-                    node, power = self.label(s + e * self.ell)
+                    node, power = dual_point(info, base, e)
                     self._index.setdefault((node, power % (2 * h)), []).append(
                         (s, e, power)
                     )
 
     def label(self, k: int):
         shift, k0 = divmod(k - 1, self.ell)
-        if self._h is None:  # raises NoProviderError: no single (-q)-lattice
-            return dual_point(self.info, self._base[k0], shift)
-        node, star, power = self._nodes[k0]
-        return SigmaPoint(star if shift % 2 else node, power + shift * self._h)
+        return dual_point(self.info, self._base[k0], shift)
 
     def materialize(self, k: int) -> Expr:
         return Fund(self.label(k))
@@ -211,11 +203,12 @@ class FundamentalCuspidalSeq:
 
     def index_of(self, point) -> int:
         """The unique k with S_k at the given label; sigma0 bijectivity."""
-        if self._h is None:
+        h = self.info.dual_shift_exponent
+        if h is None:
             raise duality_mod.DualityError(
                 f"{self.info.name}: labels do not form a single (-q)-lattice"
             )
-        period = 2 * self._h
+        period = 2 * h
         hits = self._index.get((point.node, point.power % period), ())
         if len(hits) != 1:
             raise duality_mod.DualityError(

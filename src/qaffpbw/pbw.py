@@ -11,7 +11,6 @@ two scans is a first-class Incomparable outcome.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -64,10 +63,7 @@ class ExpVec:
         return cls(tuple(cleaned))
 
     def __getitem__(self, k: int) -> int:
-        i = bisect_left(self.entries, (k,))
-        if i < len(self.entries) and self.entries[i][0] == k:
-            return self.entries[i][1]
-        return 0
+        return dict(self.entries).get(k, 0)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -183,16 +179,15 @@ def peel_top_check(multiset, seq) -> dict:
     """
     if not multiset:
         return {"vacuous": True, "ok": True}
-    vec = decompose(multiset, seq)
-    t = vec.l_of()
+    t, a_t = decompose(multiset, seq).entries[-1]
     top_dual = dual_point(seq.info, seq.label(t), 1)
     total = sum(invariants.d_fund(seq.info, top_dual, x) for x in multiset)
     return {
         "vacuous": False,
         "top_index": t,
-        "expected": vec[t],
+        "expected": a_t,
         "pairing_sum": total,
-        "ok": total == vec[t],
+        "ok": total == a_t,
     }
 
 

@@ -82,18 +82,6 @@ def test_compose_over_general_sequence():
         )
 
 
-def test_getitem_randomized():
-    rng = random.Random(7)
-    for _ in range(300):
-        support = rng.sample(range(-20, 21), rng.randint(0, 20))
-        vec = V({k: rng.randint(1, 3) for k in support})
-        table = dict(vec.entries)
-        # absent, negative and beyond-the-support indices included
-        for k in range(-30, 31):
-            assert vec[k] == table.get(k, 0), (vec, k)
-    assert V({})[0] == 0
-
-
 def test_decompose_rejects_off_lattice():
     seq = ex1_seq()
     with pytest.raises(Exception):
