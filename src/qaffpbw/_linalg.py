@@ -77,30 +77,3 @@ def solve_exact(rows, rhs) -> tuple[Fraction, ...]:
         raise ValueError("matrix is singular")
     return tuple(mat[i][n] for i in range(n))
 
-
-def leading_minors_positive(rows) -> bool:
-    """Sylvester criterion for positive definiteness, exact arithmetic."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        sub = [[Fraction(rows[i][j]) for j in range(k)] for i in range(k)]
-        if _det(sub) <= 0:
-            return False
-    return True
-
-
-def _det(mat: Matrix) -> Fraction:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            factor = mat[i][c] / mat[c][c]
-            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
-    return det

@@ -17,7 +17,6 @@ unmixedness from ``invariants.mixing_shift``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from . import duality as duality_mod
@@ -106,7 +105,6 @@ class CuspidalSeq:
     word: Word
     facts: FusionTable | None = None
     _memo: dict[int, Expr] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
         self.word = tuple(self.word)
@@ -123,8 +121,7 @@ class CuspidalSeq:
         return self.datum.info
 
     def materialize(self, k: int) -> Expr:
-        with self._lock:
-            hit = self._memo.get(k)
+        hit = self._memo.get(k)
         if hit is not None:
             return hit
         shift, k0 = divmod(k - 1, self.ell)
@@ -140,8 +137,7 @@ class CuspidalSeq:
                 value = modexpr.head(
                     self.info, [self.materialize(a), self.materialize(b)], self.facts
                 )
-        with self._lock:
-            self._memo[k] = value
+        self._memo[k] = value
         return value
 
     def range(self, lo: int, hi: int) -> list[Expr]:

@@ -12,11 +12,12 @@ labels come back as "unknown".
 
 Each label check is written once here, and ``cuspidal`` reads the same ones:
 ``fund_point`` maps a member to its label (None when compound),
-``root_verdict`` grades the root-module pattern, ``_cartan_of`` builds and
-validates the induced matrix from -d, and ``roll_up`` folds verdicts into
-pass, fail or unknown.  ``_strength`` is the one strength rule: pass gives
-verified; from a verified or inherited parent, unknown gives inherited and
-fail raises; anything else gives unknown.
+``root_verdict`` grades the root-module pattern, ``_cartan_of`` builds the
+induced matrix from -d and validates it with ``classify_cartan``, the one
+finite-type rule, and ``roll_up`` folds verdicts into pass, fail or unknown.
+``_strength`` is the one strength rule: pass gives verified; from a verified
+or inherited parent, unknown gives inherited and fail raises; anything else
+gives unknown.
 
 Completeness is not decidable from labels: it is a provenance flag, seeded
 by construction from a Q-datum and transported along reflections.
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import invariants, modexpr
-from ._linalg import leading_minors_positive
 from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, type_info
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .qdata import QDatum, fundamental_labels
@@ -135,8 +135,13 @@ def check_strong(datum: DualityDatum) -> StrongReport:
 
 def _cartan_of(info: AffineTypeInfo, points) -> tuple[tuple[int, ...], ...]:
     """The matrix with off-diagonal -d(R_i, R_j), validated as a simply-laced
-    finite Cartan matrix; d is symmetric, so the matrix is."""
+    finite Cartan matrix; d is symmetric, so the matrix is.  From two
+    members on every member is paired, so a compound one is refused."""
     n = len(points)
+    if n > 1 and None in points:
+        raise DualityError(
+            "pairwise d is not exact for compound members; no cached matrix"
+        )
     matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -144,8 +149,10 @@ def _cartan_of(info: AffineTypeInfo, points) -> tuple[tuple[int, ...], ...]:
             if c not in (0, -1):
                 raise DualityError(f"induced pairing {c} at {(i + 1, j + 1)} is not simply laced")
             matrix[i][j] = matrix[j][i] = c
-    if not leading_minors_positive(matrix):
-        raise DualityError("induced matrix is not positive definite")
+    try:
+        classify_cartan(matrix)
+    except DualityError:
+        raise DualityError("induced matrix is not positive definite") from None
     return tuple(tuple(row) for row in matrix)
 
 
@@ -153,16 +160,17 @@ def induced_cartan(datum: DualityDatum) -> tuple[tuple[int, ...], ...]:
     """Matrix with off-diagonal -d(R_i, R_j); needs exact pairwise values."""
     if datum.cartan is not None:
         return datum.cartan
-    points = [fund_point(m) for m in datum.members]
-    if None in points:
-        raise DualityError(
-            "pairwise d is not exact for compound members; no cached matrix"
-        )
-    return _cartan_of(datum.info, points)
+    return _cartan_of(datum.info, [fund_point(m) for m in datum.members])
 
 
 def classify_cartan(matrix) -> tuple[tuple[str, int], ...]:
-    """Connected components of a simply-laced finite Cartan matrix, by type."""
+    """Connected components of a simply-laced finite Cartan matrix, by type.
+
+    This is the one finite-type test: a symmetric matrix with 2 on the
+    diagonal and 0/-1 off it is positive definite exactly when every
+    component of its diagram is an A, D or E Dynkin diagram (Kac, Table
+    Fin).  Any other matrix raises ``DualityError``.
+    """
     n = len(matrix)
     seen: set[int] = set()
     components = []
@@ -191,7 +199,8 @@ def _component_type(matrix, nodes) -> tuple[str, int]:
         v: sum(1 for w in nodes if w != v and matrix[v][w] == -1) for v in nodes
     }
     branch = [v for v in nodes if degree[v] == 3]
-    if any(degree[v] > 3 for v in nodes) or len(branch) > 1:
+    is_tree = sum(degree.values()) == 2 * (size - 1)
+    if not is_tree or any(degree[v] > 3 for v in nodes) or len(branch) > 1:
         raise DualityError("not a finite simply-laced diagram")
     if not branch:
         return ("A", size)

@@ -2,25 +2,28 @@
 code they replaced.
 
 Each check now has one home: strong unmixedness is ``invariants.mixing_shift``,
-the induced Cartan matrix is built and validated by ``duality._cartan_of``, the
-member-to-label map, the root-module verdict and the roll-up are
+the induced Cartan matrix is built by ``duality._cartan_of`` and validated by
+``duality.classify_cartan``, the one finite-type test, the member-to-label map, the root-module verdict and the roll-up are
 ``duality.fund_point``, ``duality.root_verdict`` and ``duality.roll_up``, the
 strength of a datum is ``duality._strength``, Lambda, Lambda8, de_tilde and
 zero_c are read from ``invariants._tails``, and ``qdata`` walks an adapted
 word once.  The references below are the replaced code, kept here: each check
-spelled out where it was used.  Results are compared exactly; a raised error
-is compared by class and message.
+spelled out where it was used, and the Sylvester test of positive
+definiteness (exact leading minors) that decided "finite type" before the
+Dynkin classification did.  Results are compared exactly; a raised error is
+compared by class and message.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from qaffpbw import affine, cuspidal, duality, invariants, modexpr, qdata
-from qaffpbw._linalg import leading_minors_positive
 from qaffpbw.affine import SigmaPoint, denom_zeros, type_info
 from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from qaffpbw.duality import DualityDatum, DualityError, StrongReport
@@ -33,10 +36,41 @@ DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
 # a one-way entry (no (4, 3)) with a negative zero
 ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
 DATA_PER_TYPE = 150
+SPARSE_PER_SIZE = 200
 
 
 # ---------------------------------------------------------------------------
 # references: the replaced code
+
+Matrix = list[list[Fraction]]
+
+
+def leading_minors_positive(rows) -> bool:
+    """Sylvester criterion for positive definiteness, exact arithmetic."""
+    n = len(rows)
+    for k in range(1, n + 1):
+        sub = [[Fraction(rows[i][j]) for j in range(k)] for i in range(k)]
+        if _det(sub) <= 0:
+            return False
+    return True
+
+
+def _det(mat: Matrix) -> Fraction:
+    n = len(mat)
+    mat = [row[:] for row in mat]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, n):
+            factor = mat[i][c] / mat[c][c]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
+    return det
 
 
 def reference_fund_point(e):
@@ -122,7 +156,7 @@ def reference_induced_cartan(datum):
     if datum.cartan is not None:
         return datum.cartan
     points = [reference_fund_point(m) for m in datum.members]
-    if any(x is None for x in points):
+    if datum.size > 1 and any(x is None for x in points):
         raise DualityError("pairwise d is not exact for compound members; no cached matrix")
     n = datum.size
     matrix = [
@@ -345,11 +379,11 @@ def test_reflections_give_compound_members():
 
 
 def test_one_compound_member():
-    # no pairing is needed, so check_strong reports the 1x1 matrix, while
-    # induced_cartan refuses any compound member
+    # no pairing is needed, so both report the 1x1 matrix
     info = type_info("A2^1")
     datum = DualityDatum(info=info, members=(Head((Fund(P(1, 2)), Fund(P(1, 0)))),))
     assert duality.check_strong(datum).cartan == ((2,),)
+    assert duality.induced_cartan(datum) == ((2,),)
     assert_same_datum_checks(datum)
 
 
@@ -471,6 +505,81 @@ def test_exact_pairs_with_an_invalid_matrix(restored_tables, zeros, points):
     assert {v for _, v in report.pair_verdicts + report.root_verdicts} == {"ok"}
     assert (report.overall, report.cartan) == ("fail", None)
     assert_same_datum_checks(datum)
+
+
+# ---------------------------------------------------------------------------
+# the finite-type rule: the Dynkin classification against Sylvester
+
+
+def diagram_matrix(n, edges):
+    """The symmetric matrix with 2 on the diagonal and -1 on each edge."""
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        matrix[i][j] = matrix[j][i] = -1
+    return matrix
+
+
+def star(*legs):
+    """A center (node 0) with a path of each given length attached."""
+    edges, n = [], 1
+    for length in legs:
+        edges.append((0, n))
+        edges.extend((v, v + 1) for v in range(n, n + length - 1))
+        n += length
+    return diagram_matrix(n, edges)
+
+
+def cycle(n):
+    return diagram_matrix(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def classified(matrix):
+    try:
+        duality.classify_cartan(matrix)
+    except DualityError:
+        return False
+    return True
+
+
+def assert_one_rule(matrix):
+    assert classified(matrix) == leading_minors_positive(matrix), matrix
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_finite_type_rule_on_every_small_matrix(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        assert_one_rule(diagram_matrix(n, itertools.compress(pairs, chosen)))
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_finite_type_rule_on_seeded_sparse_matrices(n):
+    rng = random.Random(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(SPARSE_PER_SIZE):
+        p = rng.uniform(1, 3) / n  # about n/2 to 3n/2 edges: forests, trees and cycles
+        assert_one_rule(diagram_matrix(n, [e for e in pairs if rng.random() < p]))
+
+
+# the affine diagrams, and T_{3,3,3} (three legs of three nodes), which is
+# neither finite nor affine
+INFINITE_DIAGRAMS = {
+    **{f"A~{n}": cycle(n + 1) for n in range(2, 6)},
+    "D~4": star(1, 1, 1, 1),
+    "D~5": diagram_matrix(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
+    "E~6": star(2, 2, 2),
+    "E~7": star(1, 3, 3),
+    "E~8": star(1, 2, 5),
+    "T333": star(3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", INFINITE_DIAGRAMS)
+def test_infinite_diagrams_are_refused(name):
+    matrix = INFINITE_DIAGRAMS[name]
+    assert not leading_minors_positive(matrix)
+    with pytest.raises(DualityError):
+        duality.classify_cartan(matrix)
 
 
 # ---------------------------------------------------------------------------
