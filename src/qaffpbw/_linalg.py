@@ -1,4 +1,5 @@
-"""Small exact linear-algebra helpers over the rationals (Fraction based)."""
+"""Small exact linear-algebra helpers: over the rationals (Fraction based),
+and a pivot-column search that stays in the integers."""
 
 from __future__ import annotations
 
@@ -35,6 +36,30 @@ def rref(rows) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return mat, pivots
+
+
+def pivot_columns(rows) -> list[int]:
+    """Pivot column indices of an integer matrix, in integers only.
+
+    A column is a pivot when it is not in the span of the columns before it,
+    so the list equals the pivots of ``rref``.  Each kept column is reduced
+    against the earlier kept ones by fraction-free elimination and divided
+    by its content, so no Fraction is built.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (leading row, reduced column)
+    pivots: list[int] = []
+    for c, column in enumerate(zip(*rows)):
+        vec = list(column)
+        for lead, base in kept:
+            if vec[lead]:
+                a, b = base[lead], vec[lead]
+                vec = [a * x - b * y for x, y in zip(vec, base)]
+        lead = next((r for r, x in enumerate(vec) if x), None)
+        if lead is not None:
+            content = gcd(*vec)
+            kept.append((lead, [x // content for x in vec]))
+            pivots.append(c)
+    return pivots
 
 
 def kernel_primitive(rows) -> tuple[int, ...]:

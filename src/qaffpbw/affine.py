@@ -374,8 +374,10 @@ _DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
 def _derived(info: AffineTypeInfo) -> dict:
     """The memo of values derived from a type's zeros.
 
-    A key names its value: ``"sigma0"`` for ``_sigma0_lattice`` and
-    ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``.
+    A key names its value: ``"sigma0"`` for ``_sigma0_lattice``,
+    ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
+    ``"probe_basis"`` for ``modexpr._probe_basis`` and
+    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``.
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the

@@ -27,22 +27,36 @@ yields the rewritten list; ``_rewrites`` returns every such list in a fixed
 order, and a seeded schedule picks among them.  One d = 0 test,
 ``_commute``, decides which factors may swap: it guards the pair
 cancellation (every factor before L commutes with L) and drives the trace
-normal form of (R2).
+normal form of (R2), built from dependency counts: one call per ordered pair
+of factors gives each factor the number of earlier factors that block it,
+and the least label with none left is taken next.
 
 Nested heads in leading position flatten exactly under the left-nested
 reading; a dual only distributes over a head whose factor list is certified
 normal (pairwise strongly unmixed fundamentals, repeats allowed).
+
+``equal`` compares normal forms, then their block profiles: the Lambda8
+pairing of the leaves against a probe basis of ``rank`` labels on A_n^(1),
+the pivot columns of the Lambda8 Gram matrix of the sigma0 labels with
+exponent in 0..h-1, which separates exactly what that whole window does.
+The basis and one row per leaf label, keyed by (node, exponent mod 2h), are
+kept in the type's memo (``affine._derived``), so a profile is a sum of
+memo rows.  ``invariants.lambda_inf_word`` stays public, but ``equal`` no
+longer calls it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from random import Random
 from typing import Iterable, Sequence
 
-from . import invariants
+from . import affine, invariants
+from ._linalg import pivot_columns
 from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
 
 __all__ = [
@@ -230,22 +244,32 @@ def _trace_canonical(info: AffineTypeInfo, factors: list[Expr]) -> list[Expr]:
     """Lexicographically least representative of the commutation class.
 
     Only adjacent factors that ``_commute`` may swap; everything else is a
-    blocker.  A blocker in front moves nothing past it, so it comes first;
-    otherwise the least label that commutes to the front comes first.  The
-    greedy choice yields a schedule-independent normal form.
+    blocker.  A factor can move to the front once every earlier factor that
+    does not commute with it has been taken, so each factor counts its
+    blockers (one ``_commute`` call per ordered pair) and the least label
+    among the factors with none left comes next, the first of equal labels
+    winning.  A blocker in front blocks every later factor, so it is taken
+    as it stands.  The greedy choice yields a schedule-independent normal
+    form (Diekert–Rozenberg, *The Book of Traces*).
     """
-    rest = list(factors)
+    n = len(factors)
+    waiting = [0] * n
+    blocks: list[list[int]] = [[] for _ in factors]
+    for i, f in enumerate(factors):
+        for j in range(i + 1, n):
+            if not _commute(info, f, factors[j]):
+                waiting[j] += 1
+                blocks[i].append(j)
+    ready = [i for i in range(n) if not waiting[i]]
     out: list[Expr] = []
-    while rest:
-        best = 0
-        if isinstance(rest[0], Fund):
-            movable = [
-                idx
-                for idx, f in enumerate(rest)
-                if all(_commute(info, g, f) for g in rest[:idx])
-            ]
-            best = min(movable, key=lambda idx: rest[idx].point)
-        out.append(rest.pop(best))
+    while ready:
+        best = ready[0] if len(ready) == 1 else min(ready, key=lambda i: factors[i].point)
+        ready.remove(best)
+        out.append(factors[best])
+        for j in blocks[best]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                insort(ready, j)
     return out
 
 
@@ -411,17 +435,52 @@ def block_profile(
     """Pairing of the expression against probe fundamentals, additively.
 
     For any simple subquotient of the denoted tensor word this profile is
-    exact, so differing profiles certify non-isomorphic labels.
+    exact, so differing profiles certify non-isomorphic labels.  A leaf's
+    row against the probes depends only on its node and its exponent mod
+    2h (``invariants.lambda_inf_fund``), so the rows are kept in the type's
+    memo under that key and the profile is their componentwise sum.
     """
     leaves = [dual_point(info, x, k) for x, k in signed_leaves(expr)]
-    return tuple(
-        invariants.lambda_inf_word(info, leaves, (probe,)) for probe in probes
-    )
+    total = [0] * len(probes)
+    if not leaves:
+        return tuple(total)
+    probes = tuple(probes)
+    period = 2 * info.dual_shift_exponent  # dual_point has checked it exists
+    rows = affine._derived(info).setdefault(("profile_rows", probes), {})
+    for leaf in leaves:
+        key = (leaf.node, leaf.power % period)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = tuple(
+                invariants.lambda_inf_fund(info, leaf, probe) for probe in probes
+            )
+        total = list(map(add, total, row))
+    return tuple(total)
 
 
 def _probe_window(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
     # Lambda_inf(x, D y) = -Lambda_inf(x, y), and each D-orbit of sigma0 meets 0..h-1 once
     return info.sigma0_points(0, (info.dual_shift_exponent or 1) - 1)
+
+
+def _probe_basis(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
+    """The window labels at the pivot columns of the window's Lambda_inf Gram matrix.
+
+    A leaf in sigma0 is D^k of a window label, so its row over the window is
+    a Gram row up to sign, and a leaf off sigma0 pairs to zero with sigma0.
+    A difference of two window profiles thus lies in the Gram matrix's row
+    space, where a vector that vanishes on the pivot columns (they span all
+    columns) vanishes.  The basis therefore separates exactly what the
+    window does, with ``rank`` members on A_n^(1).  It is kept in the
+    type's memo.
+    """
+    memo = affine._derived(info)
+    basis = memo.get("probe_basis")
+    if basis is None:
+        window = _probe_window(info)
+        gram = [[invariants.lambda_inf_fund(info, x, y) for y in window] for x in window]
+        basis = memo["probe_basis"] = tuple(window[c] for c in pivot_columns(gram))
+    return basis
 
 
 def equal(
@@ -437,7 +496,7 @@ def equal(
         return Verdict.EQUAL
     if all(n is One or isinstance(n, Fund) for n in (n1, n2)):
         return Verdict.DISTINCT
-    probes = _probe_window(info)
+    probes = _probe_basis(info)
     if block_profile(info, n1, probes) != block_profile(info, n2, probes):
         return Verdict.DISTINCT
     return Verdict.UNKNOWN

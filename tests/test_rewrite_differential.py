@@ -1,7 +1,8 @@
 """The rewrite engine of ``modexpr`` against the code it replaced.
 
 ``_rewrites`` returns the factor list after each applicable rule,
-``_trace_canonical`` takes a blocker in front as it stands, the exact steps
+``_trace_canonical`` counts each factor's blockers once and takes a blocker
+in front as it stands, the exact steps
 of ``_normalize_head`` run inline, and ``d_fund`` counts zeros with
 ``tuple.count``.  The references below are the replaced code, kept here:
 rule instances as ``(name, payload)`` tuples decoded by
@@ -10,7 +11,8 @@ twice through ``reference_sort_key``, ``reference_splice``, and a ``d``
 summed from a per-exponent zero order.  ``reference_normalize`` drives them with the same schedule, so a
 seeded ``Random`` walks the same path on both sides; on the fixed schedule it
 also checks at every step that the library finds the same rewritten lists in
-the same order and the same trace normal form.
+the same order and the same trace normal form.  The trace normal form is also
+checked on its own, on seeded lists of up to 12 factors.
 """
 
 from __future__ import annotations
@@ -309,6 +311,71 @@ def test_d_fund_matches_reference_on_demo_d4_table():
                 assert value == reference_d(info, x, y), (x, y)
                 nonzero += value > 0
         assert nonzero > 0
+    finally:
+        affine._EXTERNAL_TABLES.clear()
+        affine._EXTERNAL_TABLES.update(saved)
+
+
+# ---------------------------------------------------------------------------
+# the trace normal form on its own
+
+TRACE_LISTS = 400
+BLOCKERS = (
+    Head((Fund(P(1, 2)), Fund(P(1, 0)))),
+    Dual(1, Head((Fund(P(1, 0)), Fund(P(1, 4))))),
+)
+
+
+def _trace_list(rng, info):
+    """Up to 12 factors: mixed with blockers and repeated labels, pairwise
+    commuting, or pairwise blocking."""
+    h = info.dual_shift_exponent
+    size = rng.randint(0, 12)
+    kind = rng.randrange(3)
+    if kind == 0:
+        pool = rng.sample(info.sigma0_points(-h, 2 * h), 4)
+        return [
+            rng.choice(BLOCKERS) if rng.random() < 0.15 else Fund(rng.choice(pool))
+            for _ in range(size)
+        ]
+    if kind == 1:
+        # every zero lies in 1..h, so exponents h + 1 apart never pair
+        return [
+            Fund(P(rng.randint(1, info.rank), (h + 1) * rng.randrange(4)))
+            for _ in range(size)
+        ]
+    factors = []
+    for _ in range(4 * size):
+        f = Fund(P(rng.randint(1, info.rank), rng.randint(-h, h)))
+        if len(factors) < size and not any(reference_commute(info, g, f) for g in factors):
+            factors.append(f)
+    factors += [rng.choice(BLOCKERS) for _ in range(size - len(factors))]
+    rng.shuffle(factors)
+    return factors
+
+
+@pytest.mark.parametrize("name", ("A1^1",) + TYPES + ("D4^1",))
+def test_trace_canonical_matches_reference(name):
+    saved = dict(affine._EXTERNAL_TABLES)
+    try:
+        affine.register_denominator_table("D4^1", DEMO_D4)
+        info = type_info(name)
+        rng = random.Random(f"trace-{name}")
+        kinds = [0, 0, 0]
+        for _ in range(TRACE_LISTS):
+            factors = _trace_list(rng, info)
+            pairs = [(f, g) for a, f in enumerate(factors) for g in factors[a + 1 :]]
+            commuting = sum(reference_commute(info, f, g) for f, g in pairs)
+            kinds[0] += len({f for f in factors if isinstance(f, Fund)}) < sum(
+                isinstance(f, Fund) for f in factors
+            )
+            kinds[1] += len(factors) > 2 and commuting == len(pairs)
+            kinds[2] += len(factors) > 2 and commuting == 0
+            mine = me._trace_canonical(info, factors)
+            ref = reference_trace_canonical(info, factors)
+            # equal labels keep their order: the same objects come out
+            assert [id(f) for f in mine] == [id(f) for f in ref], factors
+        assert all(kinds), kinds
     finally:
         affine._EXTERNAL_TABLES.clear()
         affine._EXTERNAL_TABLES.update(saved)
