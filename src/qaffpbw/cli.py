@@ -8,6 +8,7 @@ timestamps).  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -379,7 +380,12 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+
+    The returned parser is shared by all callers and must not be mutated.
+    """
     parser = argparse.ArgumentParser(
         prog="qaffpbw",
         description="label-level PBW combinatorics for quantum affine algebras",

@@ -322,11 +322,13 @@ def _normalize_head(
     rng: Random | None,
 ) -> Expr:
     work = list(factors)
+    canonical = False  # work is its own trace normal form (which is idempotent)
     for _ in range(10_000):
         # exact steps: drop trivial factors and flatten a leading nested head
         work = [f for f in work if f is not One]
         if work and isinstance(work[0], Head):
             work[:1] = work[0].factors
+            canonical = False
             continue
         if not work:
             return One
@@ -335,11 +337,14 @@ def _normalize_head(
         rewrites = _rewrites(info, work, facts)
         if rewrites:
             work = rewrites[0] if rng is None else rng.choice(rewrites)
+            canonical = False
             continue
-        canonical = _trace_canonical(info, work)
-        if canonical != work:
-            work = canonical
-            continue
+        if not canonical:
+            ordered = _trace_canonical(info, work)
+            canonical = True
+            if ordered != work:
+                work = ordered
+                continue
         return Head(tuple(work))
     raise RuntimeError("rewriting did not terminate")  # pragma: no cover
 

@@ -456,6 +456,52 @@ def test_parser_surface():
     assert formats == {"invariant": ("json", "text"), "sigma-quiver": ("json", "dot")}
 
 
+GOLDEN_Q_A2 = json.dumps({"xi": {"1": 0, "2": 1}})  # Q_A2 as the golden calls spell it
+REFLECT = ("reflect", "--type", "A2^1", "--q", GOLDEN_Q_A2, "--node", "1", "--times", "3")
+INVERSE = REFLECT[:-2] + ("--inverse",) + REFLECT[-2:]
+CUSPIDAL = ("cuspidal", "--type", "A2^1", "--q", GOLDEN_Q_A2, "--word", "2,1,2", "--range=-6..12")
+INVARIANT = ("invariant", "--type", "A2^1", "--kind", "d", "--x", "1,0", "--y", "1,2")
+SIGMA_QUIVER = ("sigma-quiver", "--type", "A2^1", "--window", "0..3")
+
+# (argv, exit code): each flag set on one call is absent on the next
+REUSE_CALLS = [
+    (INVERSE, 0),
+    (REFLECT, 0),
+    (INVARIANT + ("--format", "text"), 0),
+    (INVARIANT, 0),
+    (SIGMA_QUIVER + ("--format", "dot"), 0),
+    (SIGMA_QUIVER, 0),
+    (CUSPIDAL + ("--facts", '{"type":"A3^1","facts":[]}'), 1),
+    (CUSPIDAL, 0),
+    (INVERSE + ("--no-such-flag",), 2),
+    (REFLECT, 0),
+]
+
+
+def _parsed(capsys, parser, argv):
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        args = exc.code
+    return args, capsys.readouterr()
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    assert build_parser() is build_parser()
+    golden_path = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+    golden = {tuple(c["argv"]): c for c in json.loads(golden_path.read_text())["calls"]}
+    assert {REFLECT, INVERSE, CUSPIDAL} <= golden.keys()
+    for argv, expected in REUSE_CALLS:
+        code, out, err = invoke(capsys, *argv)
+        assert code == expected, (argv, err)
+        if code == 2:
+            assert out == ""
+        if argv in golden:
+            assert (code, out) == (golden[argv]["code"], golden[argv]["stdout"])
+        fresh = build_parser.__wrapped__()
+        assert _parsed(capsys, build_parser(), argv) == _parsed(capsys, fresh, argv)
+
+
 def _readme_commands() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -4,8 +4,7 @@ Each case takes one base request (all twelve subcommands are covered) and
 applies one or two mutations: truncate a flag value, swap in a junk JSON
 scalar, list or object, replace a field nested inside a JSON payload, or
 drop a flag.  An exit 1 must put a JSON ``{"error": ...}`` on stderr, except
-for ``check-strong``, whose failing report goes to stdout.  The parser is
-built once for all cases: building it takes most of a small call's time.
+for ``check-strong``, whose failing report goes to stdout.
 """
 
 from __future__ import annotations
@@ -117,16 +116,14 @@ def _argv(command: str, flags: list) -> list[str]:
 
 
 @pytest.fixture
-def one_parser_and_restored_tables(monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def restored_tables():
     tables = dict(affine._EXTERNAL_TABLES)
     yield
     affine._EXTERNAL_TABLES.clear()
     affine._EXTERNAL_TABLES.update(tables)
 
 
-def test_mutated_calls_keep_the_exit_contract(one_parser_and_restored_tables):
+def test_mutated_calls_keep_the_exit_contract(restored_tables):
     rng = random.Random(SEED)
     mutations = 0
     commands = set()
