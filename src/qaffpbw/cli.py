@@ -96,8 +96,10 @@ def _load_qdatum(info, text: str | None) -> QDatum:
 def _load_facts(info, text: str | None) -> FusionTable:
     table = FusionTable.builtin(info)
     if text:
-        loaded = FusionTable.from_json(info, _payload(text, "--facts"))
-        table = FusionTable(info, table.facts + loaded.facts)
+        data = _payload(text, "--facts")
+        if isinstance(data, dict) and data.get("type") and data["type"] != info.name:
+            raise ValueError(f"--facts is for {data['type']}, not --type {info.name}")
+        table = FusionTable(info, table.facts + FusionTable.from_json(info, data).facts)
     return table
 
 

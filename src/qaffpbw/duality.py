@@ -26,6 +26,7 @@ by construction from a Q-datum and transported along reflections.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -403,7 +404,9 @@ def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
     provenance = data.get("provenance", "user")
     if not isinstance(provenance, str):
         raise DualityError(f"datum field 'provenance' must be a string, got {provenance!r}")
-    complete = True if provenance == "from-Q" else None
+    # a Q-datum is complete, and so is each reflection of one: S<k>(...) or S<k>^-1(...)
+    m = re.fullmatch(r"((?:S\d+(?:\^-1)?\()*)from-Q(\)*)", provenance)
+    complete = True if m and m[1].count("(") == len(m[2]) else None
     return DualityDatum(
         info=info, members=tuple(members), provenance=provenance, complete=complete
     )

@@ -41,8 +41,7 @@ the pivot columns of the Lambda8 Gram matrix of the sigma0 labels with
 exponent in 0..h-1, which separates exactly what that whole window does.
 The basis and one row per leaf label, keyed by (node, exponent mod 2h), are
 kept in the type's memo (``affine._derived``), so a profile is a sum of
-memo rows.  ``invariants.lambda_inf_word`` stays public, but ``equal`` no
-longer calls it.
+memo rows.
 """
 
 from __future__ import annotations
@@ -184,14 +183,16 @@ class FusionTable:
                     f"fusion fact field 'shift_equivariant' must be true or false, "
                     f"got {equivariant!r}"
                 )
-            facts.append(
-                FusionFact(
-                    left=point_from_json(head[0], "fusion fact field 'head'"),
-                    right=point_from_json(head[1], "fusion fact field 'head'"),
-                    result=point_from_json(entry.get("eq"), "fusion fact field 'eq'"),
-                    shift_equivariant=equivariant,
-                )
-            )
+            points = []
+            for field, value in (("head", head[0]), ("head", head[1]), ("eq", entry.get("eq"))):
+                point = point_from_json(value, f"fusion fact field '{field}'")
+                if not 1 <= point.node <= info.rank:
+                    raise ValueError(
+                        f"fusion fact field '{field}' has node {point.node}, "
+                        f"outside 1..{info.rank}"
+                    )
+                points.append(point)
+            facts.append(FusionFact(*points, shift_equivariant=equivariant))
         return cls(info, facts)
 
     @classmethod

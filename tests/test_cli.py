@@ -152,6 +152,35 @@ def test_datum_from_q_and_reflect(capsys):
     assert doc["members"] == {"1": {"fund": [2, 3]}, "2": {"fund": [2, 1]}}
 
 
+@pytest.mark.parametrize(
+    "provenance, complete",
+    [
+        ("from-Q", True),
+        ("S1(from-Q)", True),
+        ("S2^-1(S1(from-Q))", True),
+        ("S1(from-Q", None),
+        ("S1(user)", None),
+        ("user", None),
+    ],
+)
+def test_reflection_of_a_q_datum_stays_complete_through_json(capsys, provenance, complete):
+    datum = DATUM_A2[:-1] + f',"provenance":"{provenance}"}}'
+    code, out, err = invoke(capsys, "reflect", "--type", "A2^1", "--datum", datum, "--node", "1")
+    assert code == 0, err
+    assert json.loads(out)["complete"] is complete
+
+
+def test_a_chain_of_reflections_round_trips_as_complete(capsys):
+    argv = ("reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1")
+    for _ in range(2):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["complete"] is True
+        argv = ("reflect", "--type", "A2^1", "--datum", out, "--node", "2")
+    assert doc["provenance"] == "S2(S1(from-Q))"
+
+
 def test_decompose_and_compare(capsys):
     code, out, _ = invoke(
         capsys,
@@ -302,6 +331,20 @@ def test_domain_error_exit_code(capsys):
         (("reflect", "--type", "A2^1", "--datum", PROVENANCE % "[1]", "--node", "1"), "'provenance'"),
         (("reflect", "--type", "A2^1", "--datum", PROVENANCE % "null", "--node", "1"), "'provenance'"),
         (("check-strong", "--type", "A2^1", "--datum", PROVENANCE % "7"), "'provenance'"),
+        (
+            (
+                "cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", "--range", "1..3",
+                "--facts", '{"type":"A3^1","facts":[]}',
+            ),
+            "--facts is for A3^1, not --type A2^1",
+        ),
+        (
+            (
+                "reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1",
+                "--facts", '{"facts":[{"head":[[1,0],[1,2]],"eq":[7,1]}]}',
+            ),
+            "fusion fact field 'eq' has node 7",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):

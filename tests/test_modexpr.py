@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from qaffpbw import modexpr as me
 from qaffpbw.affine import SigmaPoint, type_info
 from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One, Verdict
@@ -186,3 +188,18 @@ def test_fusion_table_json():
     assert table.lookup(P(1, 10), P(1, 12)) == P(2, 11)
     assert table.lookup(P(2, 3), P(2, 5)) == P(1, 4)
     assert table.lookup(P(1, 2), P(1, 0)) is None
+
+
+@pytest.mark.parametrize(
+    "head, eq, field, node",
+    [
+        ([[1, 0], [1, 2]], [7, 1], "eq", 7),
+        ([[0, 0], [1, 2]], [2, 1], "head", 0),
+        ([[1, 0], [3, 2]], [2, 1], "head", 3),
+        ([[1, 0], [1, 2]], [-1, 1], "eq", -1),
+    ],
+)
+def test_fusion_fact_nodes_must_be_nodes_of_the_type(head, eq, field, node):
+    with pytest.raises(ValueError) as info:
+        FusionTable.from_json(A2, {"facts": [{"head": head, "eq": eq}]})
+    assert str(info.value) == f"fusion fact field '{field}' has node {node}, outside 1..2"

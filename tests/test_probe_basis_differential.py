@@ -4,18 +4,22 @@
 the sigma0 labels of the window 0..h-1 at the pivot columns of the window's
 Lambda8 Gram matrix.  ``block_profile`` sums one memo row per leaf label.
 The references below are the code they replaced, kept here: a profile made
-of one ``lambda_inf_word`` call per probe, and ``equal`` probing the whole
-window.  Verdicts, profile values and error class and message must agree.
+of one ``lambda_inf_word`` call per probe, ``equal`` probing the whole
+window, and the Fraction-based reduced row echelon form that ``_linalg``
+used before its integer Gauss–Jordan elimination.  Verdicts, profile values,
+pivots, kernels, solutions and error class and message must agree.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qaffpbw import affine, invariants, modexpr
-from qaffpbw._linalg import pivot_columns, rref
+from qaffpbw._linalg import kernel_primitive, pivot_columns, solve_exact
 from qaffpbw.affine import NoProviderError, SigmaPoint, dual_point, type_info
 from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One, Verdict
 
@@ -45,6 +49,66 @@ def restored_tables():
     yield
     affine._EXTERNAL_TABLES.clear()
     affine._EXTERNAL_TABLES.update(saved)
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def reference_kernel_primitive(rows):
+    mat, pivots = rref(rows)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError(f"kernel dimension is {len(free)}, expected 1")
+    f = free[0]
+    vec = [Fraction(0)] * ncols
+    vec[f] = Fraction(1)
+    for row, p in zip(mat, pivots):
+        vec[p] = -row[f]
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    if all(x < 0 for x in ints):
+        ints = [-x for x in ints]
+    if any(x <= 0 for x in ints):
+        raise ValueError(f"kernel generator is not positive: {ints}")
+    return tuple(ints)
+
+
+def reference_solve_exact(rows, rhs):
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    mat, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(mat[i][n] for i in range(n))
 
 
 def reference_window(info):
@@ -139,7 +203,10 @@ def test_equal_matches_the_window(restored_tables, name, zeros):
 def test_basis_has_rank_members():
     for n in range(1, 11):
         info = type_info(f"A{n}^1")
-        assert len(modexpr._probe_basis(info)) == n, info.name
+        window = reference_window(info)
+        pivots = rref(_gram(info, window))[1]
+        assert modexpr._probe_basis(info) == tuple(window[c] for c in pivots), info.name
+        assert len(pivots) == n, info.name
 
 
 def _gram(info, window):
@@ -158,14 +225,48 @@ def test_basis_is_the_rref_pivots_on_d4(restored_tables, zeros):
     assert len(pivots) == (info.rank if zeros is KKKO_D4 else len(window))
 
 
+def _random_matrix(rng, rows, cols):
+    return [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+
+
 def test_pivot_columns_match_rref():
     rng = random.Random("pivot-columns")
     for _ in range(500):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        mat = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+        mat = _random_matrix(rng, rows, cols)
         if rows > 2 and rng.random() < 0.5:
             mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
         assert pivot_columns(mat) == rref(mat)[1], mat
+
+
+def _affine_cartan(name):
+    letter, sub, twist = affine._parse_name(name)
+    edges, rank = affine._affine_edges(letter, twist, sub)
+    return affine._gcm(edges, rank + 1)
+
+
+@pytest.mark.parametrize("name", affine.registered_names(8))
+def test_kernel_primitive_matches_rref_on_affine_cartan(name):
+    gcm = _affine_cartan(name)
+    for mat in (gcm, [list(col) for col in zip(*gcm)]):
+        marks = kernel_primitive(mat)
+        assert marks == reference_kernel_primitive(mat), (name, mat)
+        assert all(sum(a * m for a, m in zip(row, marks)) == 0 for row in mat), name
+
+
+def test_kernel_primitive_and_solve_exact_match_rref_on_random_matrices():
+    rng = random.Random("kernel-and-solve")
+    for _ in range(500):
+        rows = rng.randint(1, 6)
+        mat = _random_matrix(rng, rows, rows + rng.choice((0, 1, 1, 2)))
+        assert outcome(lambda: kernel_primitive(mat)) == outcome(
+            lambda: reference_kernel_primitive(mat)
+        ), mat
+        square = [row[:rows] for row in mat]
+        rhs = [rng.randint(-5, 5) for _ in range(rows)]
+        assert outcome(lambda: solve_exact(square, rhs)) == outcome(
+            lambda: reference_solve_exact(square, rhs)
+        ), (square, rhs)
 
 
 def test_a_replaced_table_rebuilds_the_basis_and_rows(restored_tables):
