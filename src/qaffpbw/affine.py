@@ -99,6 +99,8 @@ def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
     """Edge data of the affine Dynkin diagram and the classical rank."""
     if twist == 1:
         if letter == "A":
+            if sub < 1:
+                raise AffineTypeError("A_n^(1) needs n >= 1")
             if sub == 1:
                 return [(0, 1, -2, -2)], 1
             return _chain(0, sub) + [(sub, 0, -1, -1)], sub

@@ -97,8 +97,7 @@ def _load_facts(info, text: str | None) -> FusionTable:
     table = FusionTable.builtin(info)
     if text:
         data = _payload(text, "--facts")
-        if isinstance(data, dict) and data.get("type") and data["type"] != info.name:
-            raise ValueError(f"--facts is for {data['type']}, not --type {info.name}")
+        _check_type(info, data, "--facts")
         table = FusionTable(info, table.facts + FusionTable.from_json(info, data).facts)
     return table
 
@@ -121,15 +120,21 @@ def _load_datum(info, args) -> duality.DualityDatum:
 def _load_denoms(info, text: str | None) -> None:
     if text:
         data = _payload(text, "--denoms")
-        name = data.get("type") if isinstance(data, dict) else None
-        if isinstance(name, str):
-            try:
-                denoms_type = type_info(name)
-            except affine.AffineTypeError as err:
-                raise affine.AffineTypeError(f"--denoms: {err}") from err
-            if denoms_type.name != info.name:
-                raise affine.AffineTypeError(f"--denoms is for {name}, not --type {info.name}")
+        _check_type(info, data, "--denoms")
         affine.load_denominator_json(data)
+
+
+def _check_type(info, data, flag: str) -> None:
+    """Refuse a payload whose ``type`` names another affine type than --type;
+    names compare by the type they parse to, so ``A2^(1)`` is ``A2^1``."""
+    name = data.get("type") if isinstance(data, dict) else None
+    if isinstance(name, str):
+        try:
+            payload_type = type_info(name)
+        except affine.AffineTypeError as err:
+            raise affine.AffineTypeError(f"{flag}: {err}") from err
+        if payload_type.name != info.name:
+            raise affine.AffineTypeError(f"{flag} is for {name}, not --type {info.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -174,22 +174,26 @@ class FundamentalCuspidalSeq:
         self.ell = len(self.word)
         betas = self.rs.beta_sequence(self.word)
         self._base = [mapping[b] for b in betas]  # S_1 .. S_l
-        # S_{s + m*l} = D^m(S_s) repeats its node with period 2 in m, so the
-        # labels D^e(S_s), e in {0, 1}, keyed by (node, power mod 2h) find
-        # every S_k at a given label
+        # S_{k+2l} is S_k moved up by 2h, so one period S_1 .. S_2l, kept as
+        # plain ints, gives every label; keyed by (node, power mod 2h) it
+        # finds every S_k at a given label
         h = info.dual_shift_exponent
-        self._index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._lift = None if h is None else 2 * h
+        self._nodes: list[int] = []
+        self._powers: list[int] = []
+        self._index: dict[tuple[int, int], list[tuple[int, int]]] = {}
         if h is not None:
-            for s, base in enumerate(self._base, start=1):
-                for e in (0, 1):
-                    node, power = dual_point(info, base, e)
-                    self._index.setdefault((node, power % (2 * h)), []).append(
-                        (s, e, power)
-                    )
+            for r in range(2 * self.ell):
+                node, power = dual_point(info, self._base[r % self.ell], r // self.ell)
+                self._nodes.append(node)
+                self._powers.append(power)
+                self._index.setdefault((node, power % self._lift), []).append((r, power))
 
     def label(self, k: int):
-        shift, k0 = divmod(k - 1, self.ell)
-        return dual_point(self.info, self._base[k0], shift)
+        if self._lift is None:
+            return dual_point(self.info, self._base[0])  # raises NoProviderError
+        m, r = divmod(k - 1, 2 * self.ell)
+        return SigmaPoint(self._nodes[r], self._powers[r] + self._lift * m)
 
     def materialize(self, k: int) -> Expr:
         return Fund(self.label(k))
@@ -199,20 +203,19 @@ class FundamentalCuspidalSeq:
 
     def index_of(self, point) -> int:
         """The unique k with S_k at the given label; sigma0 bijectivity."""
-        h = self.info.dual_shift_exponent
-        if h is None:
+        lift = self._lift
+        if lift is None:
             raise duality_mod.DualityError(
                 f"{self.info.name}: labels do not form a single (-q)-lattice"
             )
-        period = 2 * h
-        hits = self._index.get((point.node, point.power % period), ())
+        hits = self._index.get((point.node, point.power % lift), ())
         if len(hits) != 1:
             raise duality_mod.DualityError(
                 f"label {point} is covered {len(hits)} times; "
                 "expected a bijective cuspidal sequence"
             )
-        ((s, e, power),) = hits
-        return s + (e + 2 * ((point.power - power) // period)) * self.ell
+        ((r, power),) = hits
+        return r + 1 + 2 * self.ell * ((point.power - power) // lift)
 
     def general_sequence(self) -> CuspidalSeq:
         """The same data through the minimal-pair construction."""

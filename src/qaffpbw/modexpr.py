@@ -163,10 +163,9 @@ class FusionTable:
         data = json.loads(doc) if isinstance(doc, str) else doc
         if not isinstance(data, dict):
             raise ValueError(f"fusion facts JSON must be an object, got {data!r}")
-        if data.get("type") and data["type"] != info.name:
-            raise ValueError(
-                f"fusion table is for {data['type']}, not {info.name}"
-            )
+        name = data.get("type")
+        if name and (not isinstance(name, str) or affine.type_info(name).name != info.name):
+            raise ValueError(f"fusion table is for {name}, not {info.name}")
         entries = data.get("facts")
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"fusion facts field 'facts' must be a list, got {entries!r}")

@@ -140,7 +140,8 @@ def decompose(multiset, seq) -> ExpVec:
     ``index_of`` is injective (S_k is the label it was asked for).
     """
     counts = Counter(multiset)
-    return ExpVec(tuple(sorted((seq.index_of(x), m) for x, m in counts.items())))
+    index_of = seq.index_of
+    return ExpVec(tuple(sorted([(index_of(x), m) for x, m in counts.items()])))
 
 
 def compose(a: ExpVec, seq) -> list[SigmaPoint]:
@@ -149,9 +150,10 @@ def compose(a: ExpVec, seq) -> list[SigmaPoint]:
     Reads ``seq.label(k)`` for each support index; the distinct labels are
     sorted once and then repeated.
     """
+    label = seq.label
     counts: dict[SigmaPoint, int] = {}
     for k, mult in a.entries:
-        point = seq.label(k)
+        point = label(k)
         if point is None:
             raise ValueError(
                 f"S_{k} is not a fundamental label; the vector is not "

@@ -43,6 +43,8 @@ def test_type_info_unknown():
         type_info("H4^1")
     with pytest.raises(AffineTypeError):
         type_info("C2^1")
+    with pytest.raises(AffineTypeError, match="A_n\\^\\(1\\) needs n >= 1"):
+        type_info("A0^1")
 
 
 def test_finite_type_table():

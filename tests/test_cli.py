@@ -345,6 +345,13 @@ def test_domain_error_exit_code(capsys):
             ),
             "fusion fact field 'eq' has node 7",
         ),
+        (
+            (
+                "reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1",
+                "--facts", '{"type":"zz","facts":[]}',
+            ),
+            "--facts: cannot parse affine type name 'zz'",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
@@ -352,6 +359,19 @@ def test_malformed_payload_is_a_domain_error(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert field in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("facts", ["[]", '[{"head":[[1,0],[1,2]],"eq":[2,1]}]'])
+def test_facts_type_compares_by_parsed_name(capsys, facts):
+    outputs = []
+    for name in ("A2^1", "A2^(1)"):
+        payload = f'{{"type":"{name}","facts":{facts}}}'
+        code, out, err = invoke(
+            capsys, "reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--facts", payload
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_mismatched_denoms_registers_nothing(capsys):

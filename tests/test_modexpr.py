@@ -188,6 +188,9 @@ def test_fusion_table_json():
     assert table.lookup(P(1, 10), P(1, 12)) == P(2, 11)
     assert table.lookup(P(2, 3), P(2, 5)) == P(1, 4)
     assert table.lookup(P(1, 2), P(1, 0)) is None
+    assert FusionTable.from_json(A2, {**doc, "type": "A2^(1)"}).facts == table.facts
+    with pytest.raises(ValueError, match="fusion table is for A3\\^1, not A2\\^1"):
+        FusionTable.from_json(A2, {**doc, "type": "A3^1"})
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,12 @@ exponent-vector bijection against the code they replaced.
 
 ``cmp_left``/``cmp_right`` walk the two sorted entry tuples in step and stop
 at the first difference; ``reference_cmp`` below is the union-of-supports
-scan they replaced.  ``FundamentalCuspidalSeq.index_of`` reads a dict keyed
-by (node, power mod 2h); ``reference_index_of`` is the per-base
-``dual_point`` scan it replaced, with the same error text.
+scan they replaced.  ``FundamentalCuspidalSeq`` keeps one period of labels,
+S_1 .. S_2l, as node and power lists: ``label`` reads it with one divmod
+and ``index_of`` with a dict keyed by (node, power mod 2h).
+``reference_label`` is the per-call ``dual_point`` it replaced and
+``reference_index_of`` the per-base ``dual_point`` scan, with the same
+error texts.
 ``decompose`` looks up each distinct label once and ``compose`` reads
 ``label`` and sorts the distinct labels once; ``reference_decompose`` looks
 up every point and ``reference_compose`` materializes every entry and sorts
@@ -102,6 +105,10 @@ def test_comparators_on_empty_vectors():
     assert pbw.cmp_bilex(zero, ExpVec(((3, 1),))) is Cmp.LESS
 
 
+def reference_label(seq: FundamentalCuspidalSeq, k: int) -> SigmaPoint:
+    return dual_point(seq.info, seq._base[(k - 1) % seq.ell], (k - 1) // seq.ell)
+
+
 def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
     h = seq.info.dual_shift_exponent
     if h is None:
@@ -190,6 +197,13 @@ def test_index_of_matches_per_base_scan(rank):
 def test_index_of_matches_per_base_scan_beyond_type_a(letter, rank):
     for seq in _sequences(letter, rank):
         _assert_index_matches(seq, range(0, rank + 2))
+
+
+@pytest.mark.parametrize("letter, rank", TYPES)
+def test_label_matches_dual_point(letter, rank):
+    for seq in _sequences(letter, rank):
+        for k in range(-40 * seq.ell, 40 * seq.ell + 1):
+            assert seq.label(k) == reference_label(seq, k), k
 
 
 def test_index_of_without_a_single_lattice():
@@ -306,7 +320,11 @@ def test_bijection_without_a_single_lattice():
     q = QDatum("A", 2, (0, 1))
     seq = FundamentalCuspidalSeq(type_info("B2^1"), q, qdata.some_adapted_word(q))
     for k in range(-2 * seq.ell, 2 * seq.ell + 1):
-        assert _outcome(seq.label, k).startswith("NoProviderError: ")
+        got = _outcome(seq.label, k)
+        assert got == _outcome(reference_label, seq, k) == (
+            "NoProviderError: B2^1: p* is not an integer power of -q, labels do not "
+            "live on a single (-q)-lattice"
+        )
     multiset = [SigmaPoint(1, 0), SigmaPoint(1, 0)]
     got = _outcome(pbw.decompose, multiset, seq)
     assert got == _outcome(reference_decompose, multiset, seq)
