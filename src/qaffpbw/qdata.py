@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .affine import SigmaPoint, json_int
 from .rootsys import MAX_ENUMERATION_RANK, Root, RootSystem, Word, dynkin_edges
+from .rootsys import _root_data, _simple_images, _step
 
 __all__ = [
     "QDatum",
@@ -109,27 +110,34 @@ def is_adapted(q: QDatum, word: Word) -> bool:
 
 
 def _adapted_search(q: QDatum) -> Iterator[Word]:
-    # a letter extends the word when it sits at a strict local minimum AND
-    # keeps the word reduced (minimum sequences alone can fail reducedness)
-    rs = q.root_system
-    ell = rs.number_of_positive_roots()
+    # depth first in node order: a letter extends the word when it keeps the
+    # word reduced AND sits at a strict local minimum (minimum sequences alone
+    # can fail reducedness).  The word is the stack, so words of w0 longer
+    # than the recursion limit are searched too.
+    data = _root_data(q.type_letter, q.rank)
+    ell = len(data.positive)
     adj = _neighbors(q)
-
-    def grow(word: Word, heights: list[int], images: tuple[Root, ...]) -> Iterator[Word]:
-        # images[i - 1] = w(alpha_i) for the word w
+    heights = list(q.heights)
+    images = _simple_images(q.rank)  # images[i - 1] = packed w(alpha_i)
+    word: list[int] = []
+    first = 1  # the first node to try after the word
+    while True:
         if len(word) == ell:
-            yield word
-            return
-        for i in range(1, q.rank + 1):
-            if not _is_strict_minimum(heights, i, adj):
-                continue
-            if not rs.is_positive(images[i - 1]):
-                continue
-            heights[i - 1] += 2
-            yield from grow(word + (i,), heights, rs.extend_images(images, i))
+            yield tuple(word)
+        for i in range(first, q.rank + 1):
+            if images[i - 1] > 0 and _is_strict_minimum(heights, i, adj):
+                word.append(i)
+                heights[i - 1] += 2
+                _step(data.steps, images, i)
+                first = 1
+                break
+        else:
+            if not word:
+                return
+            i = word.pop()
             heights[i - 1] -= 2
-
-    yield from grow((), list(q.heights), rs.simple_roots())
+            _step(data.steps, images, i)
+            first = i + 1
 
 
 def adapted_words(q: QDatum) -> Iterator[Word]:

@@ -11,13 +11,22 @@ simple roots.  Node numbering follows Bourbaki:
 A reduced expression ``w = s_{i_1} ... s_{i_m}`` is stored as the flat tuple
 ``(i_1, ..., i_m)``.  Two caches hold all Weyl data: one record per
 (type, rank) with the Cartan matrix, the positive roots and a reduced word
-of w0, and one analysis per (type, rank, word).  The analysis walks the word once, carrying the
-images w(alpha_j) of the simple roots under the prefix w, updated by
+of w0, and one analysis per (type, rank, word).  The analysis walks the word
+once, carrying the images w(alpha_j) of the simple roots under the prefix w,
+updated by
 
     (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
 
 The word is reduced exactly when every beta_k = w_{k-1}(alpha_{i_k}) is
 positive.  ``length`` counts inversions instead, independently of it.
+
+Inside the walks (here and in ``qdata``) a root is one int, the sum of
+c_j * 256**j over its coefficients c_j (signed digits, 8 bits each).  Every
+coefficient of an ADE root, and of the difference of two positive roots,
+lies in -6..6, well inside a digit, so the packing is injective on these
+vectors, the packing of a difference is the difference of the packings, and
+a root is positive exactly when its packing is > 0.  Public results are
+tuples.
 """
 
 from __future__ import annotations
@@ -71,8 +80,10 @@ def dynkin_edges(type_letter: str, rank: int) -> tuple[tuple[int, int], ...]:
 
 class _RootData(NamedTuple):
     cartan: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[tuple[int, int], ...], ...]  # (j - 1, a_ij) where a_ij != 0, per i
     simple: tuple[Root, ...]  # alpha_1 .. alpha_n
     positive: tuple[Root, ...]  # sorted by height, then lexicographically
+    roots: dict[int, Root]  # packing -> positive root
     longest: Word  # the greedy reduced word of w0, smallest ascent first
 
 
@@ -84,19 +95,43 @@ class _WordData(NamedTuple):
     images: tuple[Root, ...]  # w(alpha_j) for the whole word w
 
 
+_BITS = 8  # per packed coefficient
+
+
+def _pack(v: Root) -> int:
+    packed = 0
+    for x in reversed(v):
+        packed = (packed << _BITS) + x
+    return packed
+
+
+def _unpack(packed: int, rank: int) -> Root:
+    half = 1 << _BITS - 1
+    out = []
+    for _ in range(rank):
+        digit = (packed + half) % (2 * half) - half
+        out.append(digit)
+        packed = (packed - digit) >> _BITS
+    return tuple(out)
+
+
+def _simple_images(rank: int) -> list[int]:
+    """The packed alpha_1 .. alpha_n, the images under the identity."""
+    return [1 << _BITS * j for j in range(rank)]
+
+
+def _step(steps, images: list[int], i: int) -> None:
+    # (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i), in place on packed
+    # images; an involution, so a second call undoes the first
+    wi = images[i - 1]
+    for j, a in steps[i - 1]:
+        images[j] -= a * wi
+
+
 def _reflect(row: tuple[int, ...], i: int, v: Root) -> Root:
     # s_i(v) = v - <alpha_i^vee, v> alpha_i, with row = row i of the Cartan matrix
     pairing = sum(a * x for a, x in zip(row, v))
     return tuple(x - pairing if j == i - 1 else x for j, x in enumerate(v))
-
-
-def _step(cartan_matrix, images: tuple[Root, ...], i: int) -> tuple[Root, ...]:
-    # (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i)
-    wi = images[i - 1]
-    return tuple(
-        img if not a else tuple(x - a * y for x, y in zip(img, wi))
-        for img, a in zip(images, cartan_matrix[i - 1])
-    )
 
 
 def _is_positive(v: Root) -> bool:
@@ -110,27 +145,24 @@ def _root_data(type_letter: str, rank: int) -> _RootData:
         mat[i - 1][j - 1] = -1
         mat[j - 1][i - 1] = -1
     matrix = tuple(tuple(row) for row in mat)
+    steps = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in matrix)
     simple = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
-    # closure of the simple roots under simple reflections, keeping positives
-    found = set(simple)
-    frontier = list(simple)
-    while frontier:
-        v = frontier.pop()
-        for i in range(1, rank + 1):
-            w = _reflect(matrix[i - 1], i, v)
-            if _is_positive(w) and w not in found:
-                found.add(w)
-                frontier.append(w)
-    positive = tuple(sorted(found, key=lambda r: (sum(r), r)))
-    # w0 has length |positive|; appending s_i keeps a word reduced exactly
-    # when w(alpha_i) is positive, and some such i exists until w = w0
+    # appending s_i keeps a word reduced exactly when w(alpha_i) is positive,
+    # and some such i exists until w = w0; the betas of the greedy walk to w0
+    # are the positive roots, each once
     longest: list[int] = []
-    images = simple
-    while len(longest) < len(positive):
-        i = next(i for i in range(1, rank + 1) if _is_positive(images[i - 1]))
+    betas = []
+    images = _simple_images(rank)
+    while True:
+        i = next((i for i in range(1, rank + 1) if images[i - 1] > 0), None)
+        if i is None:
+            break
         longest.append(i)
-        images = _step(matrix, images, i)
-    return _RootData(matrix, simple, positive, tuple(longest))
+        betas.append(images[i - 1])
+        _step(steps, images, i)
+    roots = {beta: _unpack(beta, rank) for beta in betas}
+    positive = tuple(sorted(roots.values(), key=lambda r: (sum(r), r)))
+    return _RootData(matrix, steps, simple, positive, roots, tuple(longest))
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -139,33 +171,40 @@ def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
         if i not in range(1, rank + 1):
             raise RootSystemError(f"letter {i} out of range for rank {rank}")
     data = _root_data(type_letter, rank)
-    images = data.simple
+    steps = data.steps
+    images = _simple_images(rank)
     betas = []
     for i in word:
         beta = images[i - 1]
-        if not _is_positive(beta):
+        if beta <= 0:
             return _WordData(False, (), (), ())
         betas.append(beta)
-        images = _step(data.cartan, images, i)
+        _step(steps, images, i)
     # beta_k = beta_a + beta_b with a < k < b; each a fixes b, so a scan of a
     # gives the pairs in order, and a pair is minimal when no later a has a
     # smaller b
-    position = {beta: b for b, beta in enumerate(betas, start=1)}
+    position = {beta: b for b, beta in enumerate(betas, start=1)}.get
     pairs = []
     for k, target in enumerate(betas, start=1):
         found = []
-        for a in range(1, k):
-            b = position.get(tuple(x - y for x, y in zip(target, betas[a - 1])))
-            if b is not None and b > k:
+        for a, beta in enumerate(betas[: k - 1], start=1):
+            b = position(target - beta, 0)
+            if b > k:
                 found.append((a, b))
-        pairs.append(
-            tuple(
-                (a, b)
-                for n, (a, b) in enumerate(found)
-                if all(b2 >= b for _, b2 in found[n + 1 :])
-            )
-        )
-    return _WordData(True, tuple(betas), tuple(pairs), images)
+        minimal = []
+        least = len(betas) + 1
+        for a, b in reversed(found):
+            if b < least:
+                minimal.append((a, b))
+                least = b
+        pairs.append(tuple(reversed(minimal)))
+    roots = data.roots
+    return _WordData(
+        True,
+        tuple(roots[beta] for beta in betas),
+        tuple(pairs),
+        tuple(_unpack(v, rank) for v in images),
+    )
 
 
 @dataclass(frozen=True)
@@ -209,7 +248,9 @@ class RootSystem:
 
     def extend_images(self, images: tuple[Root, ...], i: int) -> tuple[Root, ...]:
         """Images of the simple roots under w s_i, from their images under w."""
-        return _step(_root_data(self.type_letter, self.rank).cartan, images, i)
+        packed = [_pack(v) for v in images]
+        _step(_root_data(self.type_letter, self.rank).steps, packed, i)
+        return tuple(_unpack(v, self.rank) for v in packed)
 
     def positive_roots(self) -> tuple[Root, ...]:
         return _root_data(self.type_letter, self.rank).positive
@@ -290,16 +331,19 @@ class RootSystem:
                 f"enumeration of reduced words is limited to rank <= {MAX_ENUMERATION_RANK}"
             )
         target = self.number_of_positive_roots()
+        steps = _root_data(self.type_letter, self.rank).steps
+        images = _simple_images(self.rank)
 
-        def grow(word: Word, images: tuple[Root, ...]) -> Iterator[Word]:
-            # images[i - 1] = w(alpha_i) for the word w; appending s_i keeps
-            # the word reduced exactly when that vector is still positive.
+        def grow(word: Word) -> Iterator[Word]:
+            # images[i - 1] = packed w(alpha_i) for the word w; appending s_i
+            # keeps the word reduced exactly when that root is still positive
             if len(word) == target:
                 yield word
                 return
             for i in self.nodes:
-                if _is_positive(images[i - 1]):
-                    yield from grow(word + (i,), self.extend_images(images, i))
+                if images[i - 1] > 0:
+                    _step(steps, images, i)
+                    yield from grow(word + (i,))
+                    _step(steps, images, i)
 
-        yield from grow((), self.simple_roots())
-
+        yield from grow(())

@@ -487,6 +487,27 @@ def test_datum_from_q_reads_denoms(capsys):
     assert json.loads(out)["strength"] == "verified"
 
 
+def _q_json(heights) -> str:
+    return json.dumps({"xi": {str(i): h for i, h in enumerate(heights, start=1)}})
+
+
+# w0 has length 1035 at A45 and 1056 at D33, past the default recursion limit
+@pytest.mark.parametrize(
+    "argv, field, size",
+    [
+        (("datum-from-q", "--type", "A45^1", "--q", _q_json(i % 2 for i in range(45))),
+         "members", 45),
+        (("phi", "--type", "D33^1", "--q", _q_json([i % 2 for i in range(32)] + [1])),
+         "labels", 1056),
+    ],
+    ids=["datum-from-q-A45", "phi-D33"],
+)
+def test_words_of_w0_longer_than_the_recursion_limit(capsys, argv, field, size):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert len(json.loads(out)[field]) == size
+
+
 # Each subcommand takes exactly the flags its handler reads.
 SURFACE = {
     "roots": {"--fin", "--word"},

@@ -24,13 +24,16 @@ from pathlib import Path
 import pytest
 
 from qaffpbw import qdata
-from qaffpbw.rootsys import RootSystem, RootSystemError
+from qaffpbw.rootsys import RootSystem, RootSystemError, _pack, _unpack, dynkin_edges
 
 FROZEN = Path(__file__).resolve().parent / "data" / "l0_frozen.json"
 
 TYPES = [("A", n) for n in range(1, 8)] + [("D", 4), ("D", 5), ("E", 6)]
 LONGEST_ONLY = [("E", 7), ("E", 8)]
 RANDOM_WORDS = 150
+# the largest coefficients (up to 6 at E8), where the packing bound bites
+LARGE = [("D", 6), ("E", 7), ("E", 8)]
+LARGE_RANDOM_WORDS = 6
 
 
 def reference_betas(rs: RootSystem, word) -> tuple:
@@ -52,13 +55,13 @@ def reference_minimal_pairs(betas) -> list[tuple]:
     return out
 
 
-def random_words(rs: RootSystem, seed: str) -> list[tuple[int, ...]]:
+def random_words(rs: RootSystem, seed: str, count: int = RANDOM_WORDS) -> list[tuple[int, ...]]:
     """Words grown by random ascents, half of them with one random letter
     inserted; a third run to the length of w0."""
     rng = random.Random(seed)
     ell = rs.number_of_positive_roots()
     words = []
-    for n in range(RANDOM_WORDS):
+    for n in range(count):
         target = ell if n % 3 == 0 else rng.randint(0, ell)
         word: tuple[int, ...] = ()
         images = rs.simple_roots()
@@ -109,6 +112,60 @@ def test_word_analysis_matches_the_prefix_definitions(type_letter, rank):
 def test_word_analysis_of_the_longest_word(type_letter, rank):
     rs = RootSystem(type_letter, rank)
     assert check_word(rs, rs.longest_word())
+
+
+@pytest.mark.parametrize("type_letter, rank", LARGE, ids=lambda v: str(v))
+def test_word_analysis_of_random_words_at_larger_ranks(type_letter, rank):
+    rs = RootSystem(type_letter, rank)
+    words = random_words(rs, f"{type_letter}{rank}", LARGE_RANDOM_WORDS)
+    outcomes = [check_word(rs, word) for word in words]
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_packing_of_e8_roots_and_their_differences():
+    rs = RootSystem("E", 8)
+    positive = rs.positive_roots()
+    negative = [tuple(-x for x in r) for r in positive]
+    for root in positive + tuple(negative):
+        assert _unpack(_pack(root), 8) == root
+        assert (_pack(root) > 0) is rs.is_positive(root)
+    assert max(max(r) for r in positive) == 6
+    for r in positive:
+        for s in positive:
+            diff = tuple(x - y for x, y in zip(r, s))
+            assert max(map(abs, diff)) <= 6
+            assert _unpack(_pack(r) - _pack(s), 8) == diff
+            assert _pack(diff) == _pack(r) - _pack(s)
+
+
+def reference_adapted_words(q: qdata.QDatum) -> list[tuple[int, ...]]:
+    """Every adapted word, by recursion over the tuple images of RootSystem."""
+    rs = q.root_system
+    ell = rs.number_of_positive_roots()
+    adj = {i: set() for i in rs.nodes}
+    for i, j in dynkin_edges(q.type_letter, q.rank):
+        adj[i].add(j)
+        adj[j].add(i)
+    out = []
+
+    def grow(word, heights, images):
+        if len(word) == ell:
+            out.append(word)
+        for i in rs.nodes:
+            minimum = all(heights[i - 1] < heights[j - 1] for j in adj[i])
+            if minimum and rs.is_positive(images[i - 1]):
+                raised = heights[:i - 1] + (heights[i - 1] + 2,) + heights[i:]
+                grow(word + (i,), raised, rs.extend_images(images, i))
+
+    grow((), q.heights, rs.simple_roots())
+    return out
+
+
+@pytest.mark.parametrize("type_letter, rank", [("A", 3), ("A", 4), ("D", 4)], ids=str)
+def test_adapted_search_matches_a_recursive_search(type_letter, rank):
+    for heights in qdata.all_height_functions(type_letter, rank):
+        q = qdata.QDatum(type_letter, rank, heights)
+        assert list(qdata.adapted_words(q)) == reference_adapted_words(q), heights
 
 
 @pytest.mark.parametrize("type_letter, rank", TYPES + LONGEST_ONLY, ids=lambda v: str(v))
