@@ -275,7 +275,10 @@ def _parse_name(name: str) -> tuple[str, int, int]:
         raise AffineTypeError(
             f"cannot parse affine type name {name!r}; expected e.g. 'A2^1'"
         )
-    return m.group(1), int(m.group(2)), int(m.group(3))
+    letter, sub, twist = m.group(1), int(m.group(2)), int(m.group(3))
+    if sub > rootsys.MAX_RANK:
+        raise AffineTypeError(f"affine type {name!r} exceeds the rank limit {rootsys.MAX_RANK}")
+    return letter, sub, twist
 
 
 def _star_map(letter: str, twist: int, rank: int, sub: int) -> tuple[int, ...]:

@@ -55,10 +55,20 @@ def _point(text: str, flag: str) -> SigmaPoint:
     return SigmaPoint(i, p)
 
 
-def _fin(text: str) -> tuple[str, int]:
+def _fin(text: str) -> rootsys.RootSystem:
     if len(text) < 2 or not text[1:].isdigit():
         raise ValueError(f"--fin must be a finite type such as A3, got {text!r}")
-    return text[0], int(text[1:])
+    try:
+        return rootsys.RootSystem(text[0], int(text[1:]))
+    except ValueError as err:  # a RootSystemError, or int() of too many digits
+        raise ValueError(f"--fin: {err}") from err
+
+
+def _type(name: str, flag: str) -> affine.AffineTypeInfo:
+    try:
+        return type_info(name)
+    except ValueError as err:  # an AffineTypeError, or int() of too many digits
+        raise affine.AffineTypeError(f"{flag}: {err}") from err
 
 
 def _word(text: str) -> tuple[int, ...]:
@@ -129,11 +139,7 @@ def _check_type(info, data, flag: str) -> None:
     names compare by the type they parse to, so ``A2^(1)`` is ``A2^1``."""
     name = data.get("type") if isinstance(data, dict) else None
     if isinstance(name, str):
-        try:
-            payload_type = type_info(name)
-        except affine.AffineTypeError as err:
-            raise affine.AffineTypeError(f"{flag}: {err}") from err
-        if payload_type.name != info.name:
+        if _type(name, flag).name != info.name:
             raise affine.AffineTypeError(f"{flag} is for {name}, not --type {info.name}")
 
 
@@ -142,7 +148,7 @@ def _check_type(info, data, flag: str) -> None:
 
 
 def _cmd_roots(args) -> int:
-    rs = rootsys.RootSystem(*_fin(args.fin))
+    rs = _fin(args.fin)
     if args.word:
         word = _word(args.word)
         doc = {
@@ -165,7 +171,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_adapted(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     q = _load_qdatum(info, args.q)
     if args.word:
         word = _word(args.word)
@@ -177,7 +183,7 @@ def _cmd_adapted(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     q = _load_qdatum(info, args.q)
     word = _word(args.word) if args.word else qdata.some_adapted_word(q)
     mapping = qdata.phi(q, word)
@@ -193,7 +199,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_datum_from_q(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
     doc = duality.datum_to_json(datum)
@@ -206,7 +212,7 @@ def _cmd_datum_from_q(args) -> int:
 def _cmd_reflect(args) -> int:
     if not 0 <= args.times <= MAX_TIMES:
         raise ValueError(f"--times {args.times} is outside 0..{MAX_TIMES}")
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
@@ -222,7 +228,7 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_cuspidal(args) -> int:
     lo, hi = _range(args.range, "--range", MAX_RANGE)
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     facts = _load_facts(info, args.facts)
     datum = _load_datum(info, args)
@@ -233,7 +239,7 @@ def _cmd_cuspidal(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     value = _INVARIANT_KINDS[args.kind](info, _point(args.x, "--x"), _point(args.y, "--y"))
     if args.format == "text":
@@ -244,7 +250,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     q = _load_qdatum(info, args.q)
     word = _word(args.word) if args.word else qdata.some_adapted_word(q)
     seq = FundamentalCuspidalSeq(info, q, word)
@@ -267,7 +273,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sigma_quiver(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     lo, hi = _range(args.window, "--window", MAX_WINDOW)
     vertices, arrows = affine.sigma_quiver(info, lo, hi)
@@ -295,7 +301,7 @@ def _cmd_sigma_quiver(args) -> int:
 
 
 def _cmd_check_strong(args) -> int:
-    info = type_info(args.type)
+    info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     datum = _typed_datum(info, args.datum)
     report = duality.check_strong(datum)

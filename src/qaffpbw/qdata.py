@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
+from . import rootsys
 from .affine import SigmaPoint, json_int
 from .rootsys import MAX_ENUMERATION_RANK, Root, RootSystem, Word, dynkin_edges
-from .rootsys import _root_data, _simple_images, _step
 
 __all__ = [
     "QDatum",
@@ -76,16 +76,24 @@ class QDatum:
         return self.heights[i - 1]
 
 
-def _neighbors(q: QDatum) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(1, q.rank + 1)}
+def _at_minimum(q: QDatum) -> Callable[[int, list[int]], bool]:
+    """The local-minimum rule as ``allowed(i, counts)``: node i is a strict
+    local minimum of the running heights xi(j) + 2 * counts[j - 1]."""
+    xi = q.heights
+    adj: list[list[int]] = [[] for _ in range(q.rank)]  # 0-based neighbours
     for i, j in dynkin_edges(q.type_letter, q.rank):
-        adj[i].append(j)
-        adj[j].append(i)
-    return {i: tuple(v) for i, v in adj.items()}
+        adj[i - 1].append(j - 1)
+        adj[j - 1].append(i - 1)
+    neighbours = tuple(map(tuple, adj))
 
+    def allowed(i: int, counts: list[int]) -> bool:
+        height = xi[i - 1] + 2 * counts[i - 1]
+        for j in neighbours[i - 1]:
+            if xi[j] + 2 * counts[j] <= height:
+                return False
+        return True
 
-def _is_strict_minimum(heights: list[int], node: int, adj) -> bool:
-    return all(heights[node - 1] < heights[j - 1] for j in adj[node])
+    return allowed
 
 
 def _adapted_labels(q: QDatum, word: Word) -> list[SigmaPoint] | None:
@@ -93,14 +101,14 @@ def _adapted_labels(q: QDatum, word: Word) -> list[SigmaPoint] | None:
     does not spell w0 or breaks the local-minimum rule."""
     if not q.root_system.spells_longest(tuple(word)):
         return None
-    heights = list(q.heights)
-    adj = _neighbors(q)
+    allowed = _at_minimum(q)
+    counts = [0] * q.rank
     labels = []
     for letter in word:
-        if not _is_strict_minimum(heights, letter, adj):
+        if not allowed(letter, counts):
             return None
-        labels.append(SigmaPoint(letter, heights[letter - 1]))
-        heights[letter - 1] += 2
+        labels.append(SigmaPoint(letter, q.heights[letter - 1] + 2 * counts[letter - 1]))
+        counts[letter - 1] += 1
     return labels
 
 
@@ -110,34 +118,9 @@ def is_adapted(q: QDatum, word: Word) -> bool:
 
 
 def _adapted_search(q: QDatum) -> Iterator[Word]:
-    # depth first in node order: a letter extends the word when it keeps the
-    # word reduced AND sits at a strict local minimum (minimum sequences alone
-    # can fail reducedness).  The word is the stack, so words of w0 longer
-    # than the recursion limit are searched too.
-    data = _root_data(q.type_letter, q.rank)
-    ell = len(data.positive)
-    adj = _neighbors(q)
-    heights = list(q.heights)
-    images = _simple_images(q.rank)  # images[i - 1] = packed w(alpha_i)
-    word: list[int] = []
-    first = 1  # the first node to try after the word
-    while True:
-        if len(word) == ell:
-            yield tuple(word)
-        for i in range(first, q.rank + 1):
-            if images[i - 1] > 0 and _is_strict_minimum(heights, i, adj):
-                word.append(i)
-                heights[i - 1] += 2
-                _step(data.steps, images, i)
-                first = 1
-                break
-        else:
-            if not word:
-                return
-            i = word.pop()
-            heights[i - 1] -= 2
-            _step(data.steps, images, i)
-            first = i + 1
+    # the reduced words of w0 whose letters follow the local-minimum rule, in
+    # the search order of rootsys (minimum sequences alone can fail reducedness)
+    return rootsys._reduced_words(q.type_letter, q.rank, _at_minimum(q))
 
 
 def adapted_words(q: QDatum) -> Iterator[Word]:
@@ -210,6 +193,9 @@ def qdatum_from_json(doc: str | dict) -> QDatum:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, dict):
         raise QDatumError(f"Q-datum JSON must be an object, got {data!r}")
+    type_letter = data.get("fin_type")
+    if not isinstance(type_letter, str):
+        raise QDatumError(f"Q-datum field 'fin_type' must be a type letter, got {type_letter!r}")
     rank = json_int(data.get("rank"), "Q-datum field 'rank'")
     xi = data.get("xi")
     if not isinstance(xi, dict):
@@ -223,7 +209,7 @@ def qdatum_from_json(doc: str | dict) -> QDatum:
     if autom is not None and not isinstance(autom, list):
         raise QDatumError(f"Q-datum field 'automorphism' must be a list, got {autom!r}")
     return QDatum(
-        type_letter=data["fin_type"],
+        type_letter=type_letter,
         rank=rank,
         heights=tuple(heights),
         automorphism=tuple(autom) if autom is not None else None,

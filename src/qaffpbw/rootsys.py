@@ -18,28 +18,35 @@ updated by
     (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
 
 The word is reduced exactly when every beta_k = w_{k-1}(alpha_{i_k}) is
-positive.  ``length`` counts inversions instead, independently of it.
+positive.  ``length`` counts inversions instead, independently of it.  The
+star involution, w0(alpha_i) = -alpha_{i*}, is read off the last images of
+the greedy walk to w0.  One depth-first search over the reduced words of w0
+serves the enumeration here and, with a rule on letters, ``qdata``.
 
-Inside the walks (here and in ``qdata``) a root is one int, the sum of
-c_j * 256**j over its coefficients c_j (signed digits, 8 bits each).  Every
-coefficient of an ADE root, and of the difference of two positive roots,
-lies in -6..6, well inside a digit, so the packing is injective on these
-vectors, the packing of a difference is the difference of the packings, and
-a root is positive exactly when its packing is > 0.  Public results are
-tuples.
+Inside the walks a root is one int, the sum of c_j * 256**j over its
+coefficients c_j (signed digits, 8 bits each).  Every coefficient of an ADE
+root, and of the difference of two positive roots, lies in -6..6, well
+inside a digit, so the packing is injective on these vectors, the packing of
+a difference is the difference of the packings, and a root is positive
+exactly when its packing is > 0.  Only this module knows the packing; public
+results are tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 SIMPLY_LACED = ("A", "D", "E")
 
 # Enumerating every reduced word of w0 explodes combinatorially; D_5 already
 # has millions.  Keep exhaustive enumeration usable but guarded.
 MAX_ENUMERATION_RANK = 4
+
+# Largest rank accepted, so that an oversized request fails at once: the cost
+# grows with the number of positive roots, and ``roots --fin A200`` took 75 s.
+MAX_RANK = 64
 
 # Word analyses kept at once; a cuspidal sequence or an adapted-word search
 # touches a handful of words, so this only bounds a long-running process.
@@ -61,6 +68,8 @@ def cartan(type_letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 def dynkin_edges(type_letter: str, rank: int) -> tuple[tuple[int, int], ...]:
     """Edge list (1-based node pairs) of the Dynkin diagram."""
+    if rank > MAX_RANK:
+        raise RootSystemError(f"rank {rank} exceeds the limit {MAX_RANK}")
     if type_letter == "A":
         if rank < 1:
             raise RootSystemError(f"invalid rank {rank} for type A")
@@ -85,6 +94,7 @@ class _RootData(NamedTuple):
     positive: tuple[Root, ...]  # sorted by height, then lexicographically
     roots: dict[int, Root]  # packing -> positive root
     longest: Word  # the greedy reduced word of w0, smallest ascent first
+    star: tuple[int, ...]  # star[i - 1] = i*, with w0(alpha_i) = -alpha_{i*}
 
 
 class _WordData(NamedTuple):
@@ -92,17 +102,9 @@ class _WordData(NamedTuple):
     # the fields below are empty unless the word is reduced
     betas: tuple[Root, ...]
     pairs: tuple[tuple[tuple[int, int], ...], ...]  # minimal pairs of beta_k
-    images: tuple[Root, ...]  # w(alpha_j) for the whole word w
 
 
 _BITS = 8  # per packed coefficient
-
-
-def _pack(v: Root) -> int:
-    packed = 0
-    for x in reversed(v):
-        packed = (packed << _BITS) + x
-    return packed
 
 
 def _unpack(packed: int, rank: int) -> Root:
@@ -162,7 +164,9 @@ def _root_data(type_letter: str, rank: int) -> _RootData:
         _step(steps, images, i)
     roots = {beta: _unpack(beta, rank) for beta in betas}
     positive = tuple(sorted(roots.values(), key=lambda r: (sum(r), r)))
-    return _RootData(matrix, steps, simple, positive, roots, tuple(longest))
+    # images[i - 1] is now w0(alpha_i) = -alpha_{i*}, packed -(256 ** (i* - 1))
+    star = tuple((-v).bit_length() // _BITS + 1 for v in images)
+    return _RootData(matrix, steps, simple, positive, roots, tuple(longest), star)
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -177,7 +181,7 @@ def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
     for i in word:
         beta = images[i - 1]
         if beta <= 0:
-            return _WordData(False, (), (), ())
+            return _WordData(False, (), ())
         betas.append(beta)
         _step(steps, images, i)
     # beta_k = beta_a + beta_b with a < k < b; each a fixes b, so a scan of a
@@ -199,12 +203,40 @@ def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
                 least = b
         pairs.append(tuple(reversed(minimal)))
     roots = data.roots
-    return _WordData(
-        True,
-        tuple(roots[beta] for beta in betas),
-        tuple(pairs),
-        tuple(_unpack(v, rank) for v in images),
-    )
+    return _WordData(True, tuple(roots[beta] for beta in betas), tuple(pairs))
+
+
+def _reduced_words(
+    type_letter: str, rank: int, allowed: Callable[[int, list[int]], bool] | None = None
+) -> Iterator[Word]:
+    """The reduced words of w0 whose every letter i passes allowed(i, counts),
+    counts[j - 1] being the number of letters j before i, depth first in node
+    order; the word is the stack, so no recursion limit applies."""
+    data = _root_data(type_letter, rank)
+    ell = len(data.positive)
+    steps = data.steps
+    images = _simple_images(rank)  # images[i - 1] = packed w(alpha_i)
+    counts = [0] * rank
+    word: list[int] = []
+    first = 1  # the first node to try after the word
+    while True:
+        if len(word) == ell:
+            yield tuple(word)
+        for i in range(first, rank + 1):
+            # appending s_i keeps the word reduced exactly when w(alpha_i) > 0
+            if images[i - 1] > 0 and (allowed is None or allowed(i, counts)):
+                word.append(i)
+                counts[i - 1] += 1
+                _step(steps, images, i)
+                first = 1
+                break
+        else:
+            if not word:
+                return
+            i = word.pop()
+            counts[i - 1] -= 1
+            _step(steps, images, i)
+            first = i + 1
 
 
 @dataclass(frozen=True)
@@ -241,16 +273,6 @@ class RootSystem:
         for i in reversed(word):
             v = self.reflect(i, v)
         return v
-
-    def simple_roots(self) -> tuple[Root, ...]:
-        """alpha_1 .. alpha_n, the images of the simple roots under the identity."""
-        return _root_data(self.type_letter, self.rank).simple
-
-    def extend_images(self, images: tuple[Root, ...], i: int) -> tuple[Root, ...]:
-        """Images of the simple roots under w s_i, from their images under w."""
-        packed = [_pack(v) for v in images]
-        _step(_root_data(self.type_letter, self.rank).steps, packed, i)
-        return tuple(_unpack(v, self.rank) for v in packed)
 
     def positive_roots(self) -> tuple[Root, ...]:
         return _root_data(self.type_letter, self.rank).positive
@@ -296,12 +318,7 @@ class RootSystem:
         """The node i* with w0(alpha_i) = -alpha_{i*}; an involution."""
         if i not in self.nodes:
             raise RootSystemError(f"node {i} out of range for rank {self.rank}")
-        image = self._analysis(self.longest_word()).images[i - 1]
-        neg = tuple(-x for x in image)
-        for j in self.nodes:
-            if neg == self.simple_root(j):
-                return j
-        raise RootSystemError("w0(alpha_i) is not a negative simple root")  # pragma: no cover
+        return _root_data(self.type_letter, self.rank).star[i - 1]
 
     def extend_letter(self, word: Word, k: int) -> int:
         """Letter i_k of the Z-extension of a w0 word by i_{k+l} = (i_k)*."""
@@ -330,20 +347,4 @@ class RootSystem:
             raise RootSystemError(
                 f"enumeration of reduced words is limited to rank <= {MAX_ENUMERATION_RANK}"
             )
-        target = self.number_of_positive_roots()
-        steps = _root_data(self.type_letter, self.rank).steps
-        images = _simple_images(self.rank)
-
-        def grow(word: Word) -> Iterator[Word]:
-            # images[i - 1] = packed w(alpha_i) for the word w; appending s_i
-            # keeps the word reduced exactly when that root is still positive
-            if len(word) == target:
-                yield word
-                return
-            for i in self.nodes:
-                if images[i - 1] > 0:
-                    _step(steps, images, i)
-                    yield from grow(word + (i,))
-                    _step(steps, images, i)
-
-        yield from grow(())
+        yield from _reduced_words(self.type_letter, self.rank)

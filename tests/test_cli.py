@@ -13,8 +13,12 @@ import pytest
 
 from qaffpbw import affine
 from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
+from qaffpbw.rootsys import MAX_RANK
 
 Q_A2 = '{"xi":{"1":0,"2":1}}'
+# a Q-datum of D_MAX_RANK: heights alternate along the chain 1 .. n-2, and both
+# end nodes sit one above node n-2; nodes beyond the rank are never read
+Q_D_MAX = json.dumps({"xi": {str(i): min(i, MAX_RANK - 1) % 2 for i in range(1, MAX_RANK + 1)}})
 DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
 MISMATCHED_DENOMS = '{"type":"E8^1","zeros":{"1,1":[2]}}'  # not the --type of any call
 PROVENANCE = DATUM_A2[:-1] + ',"provenance":%s}'
@@ -352,6 +356,13 @@ def test_domain_error_exit_code(capsys):
             ),
             "--facts: cannot parse affine type name 'zz'",
         ),
+        (
+            (
+                "reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1",
+                "--facts", '{"type":"A100000000^1","facts":[]}',
+            ),
+            f"--facts: affine type 'A100000000^1' exceeds the rank limit {MAX_RANK}",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
@@ -389,11 +400,22 @@ def _sized(flag: str, size: int) -> tuple[str, ...]:
         return ("cuspidal", "--type", "A2^1", "--q", Q_A2, "--word", "1,2,1", f"--range={span}")
     if flag == "--window":
         return ("sigma-quiver", "--type", "A2^1", f"--window={span}")
+    if flag == "--fin":
+        return ("roots", "--fin", f"D{size}")
+    if flag == "--type":
+        return ("datum-from-q", "--type", f"D{size}^1", "--q", Q_D_MAX)
     return ("reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--times", str(size))
 
 
 @pytest.mark.parametrize(
-    "flag, limit", [("--range", MAX_RANGE), ("--window", MAX_WINDOW), ("--times", MAX_TIMES)]
+    "flag, limit",
+    [
+        ("--range", MAX_RANGE),
+        ("--window", MAX_WINDOW),
+        ("--times", MAX_TIMES),
+        ("--fin", MAX_RANK),
+        ("--type", MAX_RANK),
+    ],
 )
 def test_oversized_requests_fail_at_once(capsys, flag, limit):
     code, out, _ = invoke(capsys, *_sized(flag, limit))

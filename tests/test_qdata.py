@@ -120,6 +120,15 @@ def test_json_parse():
     assert q == Q01
 
 
+@pytest.mark.parametrize("fin_type", [None, 1, ["A"]])
+def test_json_without_a_string_fin_type_is_a_qdatum_error(fin_type):
+    doc = {"rank": 2, "xi": {"1": 0, "2": 1}}
+    if fin_type is not None:
+        doc["fin_type"] = fin_type
+    with pytest.raises(QDatumError, match="'fin_type'"):
+        qdata.qdatum_from_json(doc)
+
+
 def test_datum_from_q_alias():
     datum = from_q_datum(A2, Q01)
     assert [m.point for m in datum.members] == [P(1, 0), P(1, 2)]

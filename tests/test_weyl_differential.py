@@ -1,12 +1,14 @@
 """The cached word analysis of ``rootsys`` against the routes it replaced.
 
-``is_reduced``, ``beta_sequence``, ``minimal_pairs`` and ``star`` read one
-incremental pass over each word.  Here each is checked against its
-definition, computed with ``RootSystem.act`` prefix by prefix: the inversion
-count ``length``, the prefix images of the simple roots, the O(l^2) scan
-over all pairs and the full action of w0.  The words are every reduced word
-of w0 at rank <= 3, the greedy word of w0 and seeded random words (reduced
-or not, of w0 or shorter).
+``is_reduced``, ``beta_sequence`` and ``minimal_pairs`` read one
+incremental pass over each word, and ``star`` the last images of the greedy
+walk to w0.  Here each is checked against its definition, computed with
+``RootSystem.act`` prefix by prefix: the inversion count ``length``, the
+prefix images of the simple roots, the O(l^2) scan over all pairs and the
+full action of w0.  The words are every reduced word of w0 at rank <= 3,
+the greedy word of w0 and seeded random words (reduced or not, of w0 or
+shorter).  The reference searches grow the images of the simple roots on
+tuples from the Cartan matrix, not on the packed ints of ``rootsys``.
 
 ``data/l0_frozen.json`` holds ``longest_word``, the first 50
 ``reduced_words_of_longest`` and ``some_adapted_word`` on every height
@@ -23,8 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from qaffpbw import qdata
-from qaffpbw.rootsys import RootSystem, RootSystemError, _pack, _unpack, dynkin_edges
+from qaffpbw import qdata, rootsys
+from qaffpbw.rootsys import RootSystem, RootSystemError, _unpack, dynkin_edges
 
 FROZEN = Path(__file__).resolve().parent / "data" / "l0_frozen.json"
 
@@ -34,6 +36,20 @@ RANDOM_WORDS = 150
 # the largest coefficients (up to 6 at E8), where the packing bound bites
 LARGE = [("D", 6), ("E", 7), ("E", 8)]
 LARGE_RANDOM_WORDS = 6
+
+
+def extend_images(rs: RootSystem, images: tuple, i: int) -> tuple:
+    """The images of the simple roots under w s_i, from those under w:
+    (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i), on tuples."""
+    row, wi = rs.cartan_matrix[i - 1], images[i - 1]
+    return tuple(
+        tuple(x - a * y for x, y in zip(image, wi)) for a, image in zip(row, images)
+    )
+
+
+def pack(v) -> int:
+    """The packing of rootsys by its definition: the sum of c_j * 256**j."""
+    return sum(c * 256**j for j, c in enumerate(v))
 
 
 def reference_betas(rs: RootSystem, word) -> tuple:
@@ -64,10 +80,10 @@ def random_words(rs: RootSystem, seed: str, count: int = RANDOM_WORDS) -> list[t
     for n in range(count):
         target = ell if n % 3 == 0 else rng.randint(0, ell)
         word: tuple[int, ...] = ()
-        images = rs.simple_roots()
+        images = tuple(rs.simple_root(i) for i in rs.nodes)
         while len(word) < target:
             i = rng.choice([i for i in rs.nodes if rs.is_positive(images[i - 1])])
-            word, images = word + (i,), rs.extend_images(images, i)
+            word, images = word + (i,), extend_images(rs, images, i)
         if n % 2:
             at = rng.randint(0, len(word))
             word = word[:at] + (rng.choice(rs.nodes),) + word[at:]
@@ -127,15 +143,15 @@ def test_packing_of_e8_roots_and_their_differences():
     positive = rs.positive_roots()
     negative = [tuple(-x for x in r) for r in positive]
     for root in positive + tuple(negative):
-        assert _unpack(_pack(root), 8) == root
-        assert (_pack(root) > 0) is rs.is_positive(root)
+        assert _unpack(pack(root), 8) == root
+        assert (pack(root) > 0) is rs.is_positive(root)
     assert max(max(r) for r in positive) == 6
     for r in positive:
         for s in positive:
             diff = tuple(x - y for x, y in zip(r, s))
             assert max(map(abs, diff)) <= 6
-            assert _unpack(_pack(r) - _pack(s), 8) == diff
-            assert _pack(diff) == _pack(r) - _pack(s)
+            assert _unpack(pack(r) - pack(s), 8) == diff
+            assert pack(diff) == pack(r) - pack(s)
 
 
 def reference_adapted_words(q: qdata.QDatum) -> list[tuple[int, ...]]:
@@ -155,9 +171,9 @@ def reference_adapted_words(q: qdata.QDatum) -> list[tuple[int, ...]]:
             minimum = all(heights[i - 1] < heights[j - 1] for j in adj[i])
             if minimum and rs.is_positive(images[i - 1]):
                 raised = heights[:i - 1] + (heights[i - 1] + 2,) + heights[i:]
-                grow(word + (i,), raised, rs.extend_images(images, i))
+                grow(word + (i,), raised, extend_images(rs, images, i))
 
-    grow((), q.heights, rs.simple_roots())
+    grow((), q.heights, tuple(rs.simple_root(i) for i in rs.nodes))
     return out
 
 
@@ -175,6 +191,16 @@ def test_star_matches_the_action_of_w0(type_letter, rank):
     for i in rs.nodes:
         image = rs.act(w0, rs.simple_root(i))
         assert tuple(-x for x in image) == rs.simple_root(rs.star(i))
+
+
+def test_star_analyses_no_word():
+    rootsys._word_data.cache_clear()
+    for type_letter, ranks in (("A", range(1, 11)), ("D", range(4, 9)), ("E", range(6, 9))):
+        for rank in ranks:
+            rs = RootSystem(type_letter, rank)
+            for i in rs.nodes:
+                rs.star(i)
+    assert rootsys._word_data.cache_info().misses == 0
 
 
 def frozen_outputs() -> dict:
