@@ -275,10 +275,11 @@ def _parse_name(name: str) -> tuple[str, int, int]:
         raise AffineTypeError(
             f"cannot parse affine type name {name!r}; expected e.g. 'A2^1'"
         )
-    letter, sub, twist = m.group(1), int(m.group(2)), int(m.group(3))
-    if sub > rootsys.MAX_RANK:
+    letter, digits, twist = m.group(1), m.group(2).lstrip("0") or "0", int(m.group(3))
+    # the digit count is compared first, since int() refuses a few thousand digits
+    if len(digits) > len(str(rootsys.MAX_RANK)) or int(digits) > rootsys.MAX_RANK:
         raise AffineTypeError(f"affine type {name!r} exceeds the rank limit {rootsys.MAX_RANK}")
-    return letter, sub, twist
+    return letter, int(digits), twist
 
 
 def _star_map(letter: str, twist: int, rank: int, sub: int) -> tuple[int, ...]:
@@ -381,8 +382,10 @@ def _derived(info: AffineTypeInfo) -> dict:
 
     A key names its value: ``"sigma0"`` for ``_sigma0_lattice``,
     ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
-    ``"probe_basis"`` for ``modexpr._probe_basis`` and
-    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``.
+    ``"probe_basis"`` for ``modexpr._probe_basis``,
+    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``
+    and ``("normal", facts)`` for the normal forms of ``modexpr.normalize``
+    under the fusion table ``facts`` (or ``None``).
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the

@@ -67,7 +67,7 @@ def _fin(text: str) -> rootsys.RootSystem:
 def _type(name: str, flag: str) -> affine.AffineTypeInfo:
     try:
         return type_info(name)
-    except ValueError as err:  # an AffineTypeError, or int() of too many digits
+    except affine.AffineTypeError as err:
         raise affine.AffineTypeError(f"{flag}: {err}") from err
 
 

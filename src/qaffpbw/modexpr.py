@@ -35,6 +35,12 @@ Nested heads in leading position flatten exactly under the left-nested
 reading; a dual only distributes over a head whose factor list is certified
 normal (pairwise strongly unmixed fundamentals, repeats allowed).
 
+Normal forms are memoized per type and fusion table: ``normalize`` without a
+schedule keeps the form of every non-leaf expression it reaches in the type's
+memo (``affine._derived``) under ``("normal", facts)``.  Fusion tables compare
+by value, so equal tables share one memo, and a replaced denominator table
+drops it with the rest of the type's derived values.
+
 ``equal`` compares normal forms, then their block profiles: the Lambda8
 pairing of the leaves against a probe basis of ``rank`` labels on A_n^(1),
 the pivot columns of the Lambda8 Gram matrix of the sigma0 labels with
@@ -141,6 +147,17 @@ class FusionTable:
     def __init__(self, info: AffineTypeInfo, facts: Iterable[FusionFact] = ()):
         self.info = info
         self.facts = tuple(facts)
+        # plain tuples, so that comparing two tables stays in C
+        rows = tuple((f.left, f.right, f.result, f.shift_equivariant) for f in self.facts)
+        self._key = (info.name, rows)
+        self._hash = hash(self._key)
+
+    # a table is a value: equal tables share the normal forms of ``normalize``
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FusionTable) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def lookup(self, a: SigmaPoint, b: SigmaPoint) -> SigmaPoint | None:
         star = self.info.star
@@ -349,22 +366,63 @@ def _normalize_head(
     raise RuntimeError("rewriting did not terminate")  # pragma: no cover
 
 
+# Normal forms kept per type and fusion table; a full memo starts over.
+NORMAL_MEMO_SIZE = 4096
+
+
 def normalize(
     info: AffineTypeInfo,
     expr: Expr,
     facts: FusionTable | None = None,
     rng: Random | None = None,
 ) -> Expr:
-    """Normal form of an expression; every step preserves the label."""
+    """Normal form of an expression; every step preserves the label.
+
+    Without ``rng`` the normal form of each non-leaf expression reached, the
+    subexpressions included, is kept in the type's memo under
+    ``("normal", facts)`` (``affine._derived``), so no expression is rewritten
+    twice; a seeded schedule neither reads nor fills it.
+    """
+    memo = None
+    if rng is None:
+        derived = affine._derived(info)
+        memo = derived.get(("normal", facts))
+        if memo is None:
+            memo = derived["normal", facts] = {}
+    return _normal(info, expr, facts, rng, memo)
+
+
+def _normal(
+    info: AffineTypeInfo,
+    expr: Expr,
+    facts: FusionTable | None,
+    rng: Random | None,
+    memo: dict | None,
+) -> Expr:
     if expr is One or isinstance(expr, Fund):
         return expr
+    keep = memo is not None
+    if keep:
+        try:
+            cached = memo.get(expr)
+        except TypeError:  # unhashable (factors given as a list): not kept
+            keep = False
+        else:
+            if cached is not None:
+                return cached
     if isinstance(expr, Head):
-        inner = [normalize(info, f, facts, rng) for f in expr.factors]
-        return _normalize_head(info, inner, facts, rng)
-    if isinstance(expr, Dual):
-        body = normalize(info, expr.inner, facts, rng)
-        return _push_dual(info, expr.shift, body, facts, rng)
-    raise TypeError(f"not an expression: {expr!r}")
+        inner = [_normal(info, f, facts, rng, memo) for f in expr.factors]
+        result = _normalize_head(info, inner, facts, rng)
+    elif isinstance(expr, Dual):
+        body = _normal(info, expr.inner, facts, rng, memo)
+        result = _push_dual(info, expr.shift, body, facts, rng)
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    if keep:
+        if len(memo) >= NORMAL_MEMO_SIZE:
+            memo.clear()
+        memo[expr] = result
+    return result
 
 
 def _push_dual(

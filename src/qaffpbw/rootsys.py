@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
-SIMPLY_LACED = ("A", "D", "E")
-
 # Enumerating every reduced word of w0 explodes combinatorially; D_5 already
 # has millions.  Keep exhaustive enumeration usable but guarded.
 MAX_ENUMERATION_RANK = 4

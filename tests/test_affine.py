@@ -47,6 +47,14 @@ def test_type_info_unknown():
         type_info("A0^1")
 
 
+def test_type_name_past_the_int_digit_limit_is_a_type_error():
+    # int() refuses more than 4300 digits; the rank cap must speak first
+    name = "A" + "9" * 5000 + "^1"
+    with pytest.raises(AffineTypeError, match="exceeds the rank limit"):
+        type_info(name)
+    assert type_info("A" + "0" * 5000 + "2^1") == A2
+
+
 def test_finite_type_table():
     rows = {
         "A4^1": ("A", 4),

@@ -363,6 +363,10 @@ def test_domain_error_exit_code(capsys):
             ),
             f"--facts: affine type 'A100000000^1' exceeds the rank limit {MAX_RANK}",
         ),
+        (
+            ("datum-from-q", "--type", "A" + "9" * 5000 + "^1", "--q", Q_A2),
+            "--type: affine type 'A9999",
+        ),
     ],
 )
 def test_malformed_payload_is_a_domain_error(capsys, argv, field):
