@@ -275,11 +275,11 @@ def _parse_name(name: str) -> tuple[str, int, int]:
         raise AffineTypeError(
             f"cannot parse affine type name {name!r}; expected e.g. 'A2^1'"
         )
-    letter, digits, twist = m.group(1), m.group(2).lstrip("0") or "0", int(m.group(3))
-    # the digit count is compared first, since int() refuses a few thousand digits
-    if len(digits) > len(str(rootsys.MAX_RANK)) or int(digits) > rootsys.MAX_RANK:
-        raise AffineTypeError(f"affine type {name!r} exceeds the rank limit {rootsys.MAX_RANK}")
-    return letter, int(digits), twist
+    try:
+        return m.group(1), rootsys.rank_from_digits(m.group(2)), int(m.group(3))
+    except rootsys.RootSystemError:
+        limit = rootsys.MAX_RANK
+        raise AffineTypeError(f"affine type {name!r} exceeds the rank limit {limit}") from None
 
 
 def _star_map(letter: str, twist: int, rank: int, sub: int) -> tuple[int, ...]:
@@ -290,9 +290,12 @@ def _star_map(letter: str, twist: int, rank: int, sub: int) -> tuple[int, ...]:
     return tuple(range(1, rank + 1))
 
 
-@lru_cache(maxsize=None)
 def type_info(name: str) -> AffineTypeInfo:
-    letter, sub, twist = _parse_name(name)
+    return _type_info(*_parse_name(name))
+
+
+@lru_cache(maxsize=None)  # keyed by the parsed name, so every spelling shares one info
+def _type_info(letter: str, sub: int, twist: int) -> AffineTypeInfo:
     edges, rank = _affine_edges(letter, twist, sub)
     gcm = _gcm(edges, rank + 1)
     marks = kernel_primitive(gcm)  # right null vector: delta coefficients

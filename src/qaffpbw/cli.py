@@ -56,11 +56,11 @@ def _point(text: str, flag: str) -> SigmaPoint:
 
 
 def _fin(text: str) -> rootsys.RootSystem:
-    if len(text) < 2 or not text[1:].isdigit():
+    if len(text) < 2 or not text[1:].isdecimal():
         raise ValueError(f"--fin must be a finite type such as A3, got {text!r}")
     try:
-        return rootsys.RootSystem(text[0], int(text[1:]))
-    except ValueError as err:  # a RootSystemError, or int() of too many digits
+        return rootsys.RootSystem(text[0], rootsys.rank_from_digits(text[1:]))
+    except rootsys.RootSystemError as err:
         raise ValueError(f"--fin: {err}") from err
 
 

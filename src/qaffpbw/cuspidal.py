@@ -10,6 +10,10 @@ with letters substituted by the members of the datum and * evaluated as a
 head.  Outside the window the sequence extends by the dual-shift law
 S_{k+l} = D(S_k).
 
+``CuspidalSeq`` is the one sequence class: it owns the memo, the dual-shift
+extension, ``range``, ``label`` and ``index_of``.  ``FundamentalCuspidalSeq``
+only supplies S_1..S_l, read off the label map of a Q-datum.
+
 ``verify_cuspidal_axioms`` writes no check of its own: the member labels,
 the root-module verdict and the roll-up come from ``duality``, and strong
 unmixedness from ``invariants.mixing_shift``.
@@ -17,12 +21,12 @@ unmixedness from ``invariants.mixing_shift``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import duality as duality_mod
 from . import invariants, modexpr
 from .affine import SigmaPoint, denom_zeros, dual_point
-from .duality import DualityDatum
+from .duality import DualityDatum, DualityError
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .rootsys import RootSystem, RootSystemError, Word
 
@@ -84,41 +88,41 @@ def _word_root_system(datum: DualityDatum) -> RootSystem:
     matrix = duality_mod.induced_cartan(datum)
     components = duality_mod.classify_cartan(matrix)
     if len(components) != 1:
-        raise duality_mod.DualityError(
+        raise DualityError(
             f"induced Cartan matrix splits as {components}; cuspidal sequences "
             "need a connected type"
         )
     letter, rank = components[0]
     rs = RootSystem(letter, rank)
     if rs.cartan_matrix != matrix:
-        raise duality_mod.DualityError(
-            "induced Cartan matrix is not in the standard node numbering"
-        )
+        raise DualityError("induced Cartan matrix is not in the standard node numbering")
     return rs
 
 
-@dataclass
 class CuspidalSeq:
-    """Lazy, memoized cuspidal sequence S_k for k in Z."""
+    """Lazy cuspidal sequence S_k for k in Z, memoized per k.
 
-    datum: DualityDatum
-    word: Word
-    facts: FusionTable | None = None
-    _memo: dict[int, Expr] = field(default_factory=dict, repr=False)
+    Once S_1 .. S_l are all fundamental and the type has an integer dual
+    shift h, one period S_1 .. S_2l is kept as node and power int lists,
+    since S_{k+2l} is S_k moved up by 2h, and indexed by (node, power mod
+    2h): ``label(k)`` and ``index_of(x)`` each cost one divmod and one
+    table read.
+    """
 
-    def __post_init__(self) -> None:
-        self.word = tuple(self.word)
-        self.rs = _word_root_system(self.datum)
+    def __init__(self, datum: DualityDatum, word: Word, facts: FusionTable | None = None):
+        self.datum = datum
+        self._start(datum.info, _word_root_system(datum), word, facts)
         if not self.rs.spells_longest(self.word):
-            raise RootSystemError(
-                f"word {self.word} does not spell w0 of "
-                f"{self.rs.type_letter}{self.rs.rank}"
-            )
-        self.ell = len(self.word)
+            name = f"{self.rs.type_letter}{self.rs.rank}"
+            raise RootSystemError(f"word {self.word} does not spell w0 of {name}")
 
-    @property
-    def info(self):
-        return self.datum.info
+    def _start(self, info, rs: RootSystem, word: Word, facts: FusionTable | None) -> None:
+        self.info, self.rs, self.facts = info, rs, facts
+        self.word = tuple(word)
+        self.ell = len(self.word)
+        self._memo: dict[int, Expr] = {}
+        self._lift: int | None = None  # 2h, once the label table is built
+        self._compound = 0  # r of the first compound S_r, once one is found
 
     def materialize(self, k: int) -> Expr:
         hit = self._memo.get(k)
@@ -143,84 +147,68 @@ class CuspidalSeq:
     def range(self, lo: int, hi: int) -> list[Expr]:
         return [self.materialize(k) for k in range(lo, hi + 1)]
 
+    def _index_period(self) -> bool:
+        """Build the label table; False when some S_r is compound."""
+        base = [duality_mod.fund_point(x) for x in self.range(1, self.ell)]
+        if None in base:
+            self._compound = base.index(None) + 1
+            return False
+        # S_{l+1} .. S_2l are the duals of S_1 .. S_l; dual_point raises
+        # NoProviderError when the type has no integer dual shift
+        period = base + [dual_point(self.info, x) for x in base]
+        lift = 2 * self.info.dual_shift_exponent
+        self._nodes = [x.node for x in period]
+        self._powers = [x.power for x in period]
+        self._index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for r, x in enumerate(period):
+            self._index.setdefault((x.node, x.power % lift), []).append((r, x.power))
+        self._lift = lift  # last, so whoever sees it sees the whole table
+        return True
+
     def label(self, k: int) -> SigmaPoint | None:
         """The label of S_k, or None when S_k is compound."""
-        return duality_mod.fund_point(self.materialize(k))
-
-
-class FundamentalCuspidalSeq:
-    """Cuspidal labels of a Q-datum along an adapted word.
-
-    Here every S_k is a fundamental label, computed directly from the label
-    map of the Q-datum: S_{s + m*l} is the m-th dual shift of the image of
-    beta_s.  The labels cover sigma0 bijectively, which makes the sequence
-    invertible (the basis of the exponent-vector parametrization).
-    """
-
-    def __init__(self, info, q, word: Word, facts: FusionTable | None = None):
-        from . import qdata
-
-        self.info = info
-        self.q = q
-        self.word = tuple(word)
-        self.facts = facts
-        try:
-            mapping = qdata.phi(q, self.word)
-        except qdata.QDatumError:
-            raise duality_mod.DualityError(
-                f"word {word} is not adapted to the Q-datum"
-            ) from None
-        self.rs = q.root_system
-        self.ell = len(self.word)
-        betas = self.rs.beta_sequence(self.word)
-        self._base = [mapping[b] for b in betas]  # S_1 .. S_l
-        # S_{k+2l} is S_k moved up by 2h, so one period S_1 .. S_2l, kept as
-        # plain ints, gives every label; keyed by (node, power mod 2h) it
-        # finds every S_k at a given label
-        h = info.dual_shift_exponent
-        self._lift = None if h is None else 2 * h
-        self._nodes: list[int] = []
-        self._powers: list[int] = []
-        self._index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        if h is not None:
-            for r in range(2 * self.ell):
-                node, power = dual_point(info, self._base[r % self.ell], r // self.ell)
-                self._nodes.append(node)
-                self._powers.append(power)
-                self._index.setdefault((node, power % self._lift), []).append((r, power))
-
-    def label(self, k: int):
-        if self._lift is None:
-            return dual_point(self.info, self._base[0])  # raises NoProviderError
+        if self._lift is None and (self._compound or not self._index_period()):
+            return duality_mod.fund_point(self.materialize(k))
         m, r = divmod(k - 1, 2 * self.ell)
         return SigmaPoint(self._nodes[r], self._powers[r] + self._lift * m)
 
-    def materialize(self, k: int) -> Expr:
-        return Fund(self.label(k))
-
-    def range(self, lo: int, hi: int) -> list[Expr]:
-        return [self.materialize(k) for k in range(lo, hi + 1)]
-
-    def index_of(self, point) -> int:
+    def index_of(self, point: SigmaPoint) -> int:
         """The unique k with S_k at the given label; sigma0 bijectivity."""
         lift = self._lift
         if lift is None:
-            raise duality_mod.DualityError(
-                f"{self.info.name}: labels do not form a single (-q)-lattice"
-            )
+            if self.info.dual_shift_exponent is None:
+                raise DualityError(f"{self.info.name}: labels do not form a single (-q)-lattice")
+            if not self._index_period():
+                raise DualityError(f"S_{self._compound} is compound, so the labels have no index")
+            lift = self._lift
         hits = self._index.get((point.node, point.power % lift), ())
         if len(hits) != 1:
-            raise duality_mod.DualityError(
+            raise DualityError(
                 f"label {point} is covered {len(hits)} times; "
                 "expected a bijective cuspidal sequence"
             )
         ((r, power),) = hits
         return r + 1 + 2 * self.ell * ((point.power - power) // lift)
 
-    def general_sequence(self) -> CuspidalSeq:
-        """The same data through the minimal-pair construction."""
-        datum = duality_mod.from_q_datum(self.info, self.q)
-        return CuspidalSeq(datum, self.word, self.facts)
+
+class FundamentalCuspidalSeq(CuspidalSeq):
+    """The cuspidal sequence of a Q-datum along an adapted word: S_1 .. S_l
+    are the images of beta_1 .. beta_l under its label map.  The labels cover
+    sigma0 bijectively, which makes the sequence invertible (the basis of the
+    exponent-vector parametrization)."""
+
+    def __init__(self, info, q, word: Word, facts: FusionTable | None = None):
+        from . import qdata
+
+        self._start(info, q.root_system, word, facts)
+        try:
+            mapping = qdata.phi(q, self.word)
+        except qdata.QDatumError:
+            raise DualityError(f"word {word} is not adapted to the Q-datum") from None
+        for k, beta in enumerate(self.rs.beta_sequence(self.word), start=1):
+            self._memo[k] = Fund(mapping[beta])
+        if info.dual_shift_exponent is not None:
+            self._index_period()
 
 
 def verify_cuspidal_axioms(seq, lo: int, hi: int) -> dict:

@@ -134,8 +134,8 @@ def standard_word(a: ExpVec, seq) -> list[Expr]:
 def decompose(multiset, seq) -> ExpVec:
     """Exponent vector of a dominant multiset of fundamental labels.
 
-    The sequence must cover sigma0 bijectively by fundamentals (a Q-datum
-    sequence or one of its shifts).  Each distinct label is looked up once,
+    The sequence must cover sigma0 bijectively by fundamentals (that of a
+    Q-datum or of a reflected one).  Each distinct label is looked up once,
     in order of first occurrence, and its multiplicity is the exponent:
     ``index_of`` is injective (S_k is the label it was asked for).
     """

@@ -155,10 +155,8 @@ def fundamental_labels(q: QDatum) -> dict[int, SigmaPoint]:
     return {i: mapping[rs.simple_root(i)] for i in rs.nodes}
 
 
-def all_height_functions(
-    type_letter: str, rank: int, base: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Every height function with xi(1) = base, one sign choice per edge."""
+def all_height_functions(type_letter: str, rank: int) -> Iterator[tuple[int, ...]]:
+    """Every height function with xi(1) = 0, one sign choice per edge."""
     edges = dynkin_edges(type_letter, rank)
     # Dynkin diagrams are trees: BFS from node 1 fixes a parent for each node
     parent: dict[int, int] = {}
@@ -185,7 +183,7 @@ def all_height_functions(
             yield from grow(assigned)
         del assigned[node]
 
-    yield from grow({1: base})
+    yield from grow({1: 0})
 
 
 def qdatum_from_json(doc: str | dict) -> QDatum:

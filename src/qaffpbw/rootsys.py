@@ -46,6 +46,15 @@ MAX_ENUMERATION_RANK = 4
 # grows with the number of positive roots, and ``roots --fin A200`` took 75 s.
 MAX_RANK = 64
 
+
+def rank_from_digits(digits: str) -> int:
+    """A rank written in decimal digits, refused past MAX_RANK; the digit
+    count is compared first, since int() refuses a few thousand digits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
+        raise RootSystemError(f"rank {digits} exceeds the limit {MAX_RANK}")
+    return int(digits)
+
 # Word analyses kept at once; a cuspidal sequence or an adapted-word search
 # touches a handful of words, so this only bounds a long-running process.
 WORD_CACHE_SIZE = 1024

@@ -55,6 +55,12 @@ def test_type_name_past_the_int_digit_limit_is_a_type_error():
     assert type_info("A" + "0" * 5000 + "2^1") == A2
 
 
+def test_every_spelling_of_a_type_shares_one_info():
+    spellings = ("A2^1", "A2^(1)", "A02^1", "A0002^1", " A2^1 ")
+    assert all(type_info(name) is A2 for name in spellings)
+    assert type_info("A2^1") is not type_info("A2^2")
+
+
 def test_finite_type_table():
     rows = {
         "A4^1": ("A", 4),

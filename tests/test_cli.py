@@ -430,6 +430,12 @@ def test_oversized_requests_fail_at_once(capsys, flag, limit):
         assert (code, out) == (1, "")
         assert flag in json.loads(err)["error"]
         assert time.perf_counter() - start < 1.0
+    if flag == "--fin":
+        # past int()'s 4,300-digit limit the rank limit still answers
+        code, out, err = invoke(capsys, "roots", "--fin", "A" + "9" * 5000)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error.startswith(flag) and error.endswith(f"exceeds the limit {limit}")
 
 
 @pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])

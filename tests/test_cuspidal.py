@@ -93,7 +93,7 @@ def test_two_construction_paths_agree():
             q = QDatum("A", n, heights)
             word = qdata.some_adapted_word(q)
             labels = FundamentalCuspidalSeq(info, q, word, facts)
-            seq = labels.general_sequence()
+            seq = CuspidalSeq(duality.from_q_datum(info, q), word, facts)
             ell = labels.ell
             for k in range(1 - ell, 2 * ell + 1):
                 general = seq.materialize(k)

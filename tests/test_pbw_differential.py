@@ -3,7 +3,7 @@ exponent-vector bijection against the code they replaced.
 
 ``cmp_left``/``cmp_right`` walk the two sorted entry tuples in step and stop
 at the first difference; ``reference_cmp`` below is the union-of-supports
-scan they replaced.  ``FundamentalCuspidalSeq`` keeps one period of labels,
+scan they replaced.  ``CuspidalSeq`` keeps one period of labels,
 S_1 .. S_2l, as node and power lists: ``label`` reads it with one divmod
 and ``index_of`` with a dict keyed by (node, power mod 2h).
 ``reference_label`` is the per-call ``dual_point`` it replaced and
@@ -12,7 +12,8 @@ error texts.
 ``decompose`` looks up each distinct label once and ``compose`` reads
 ``label`` and sorts the distinct labels once; ``reference_decompose`` looks
 up every point and ``reference_compose`` materializes every entry and sorts
-every copy.
+every copy.  The last tests check that table on the minimal-pair sequence of
+every Q-datum at A2-A5 and of its reflection along the rotated word.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import random
 
 import pytest
 
-from qaffpbw import pbw, qdata
+from qaffpbw import duality, pbw, qdata
 from qaffpbw.affine import NoProviderError, SigmaPoint, dual_point, type_info
-from qaffpbw.cuspidal import FundamentalCuspidalSeq
+from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from qaffpbw.duality import DualityError
-from qaffpbw.modexpr import Fund
+from qaffpbw.modexpr import Fund, FusionFact, FusionTable
 from qaffpbw.pbw import Cmp, ExpVec
 from qaffpbw.qdata import QDatum
 
@@ -105,8 +106,13 @@ def test_comparators_on_empty_vectors():
     assert pbw.cmp_bilex(zero, ExpVec(((3, 1),))) is Cmp.LESS
 
 
+def _base(seq: FundamentalCuspidalSeq) -> list[SigmaPoint]:
+    """S_1 .. S_l, the labels the Q-datum label map gives."""
+    return [seq.materialize(s).point for s in range(1, seq.ell + 1)]
+
+
 def reference_label(seq: FundamentalCuspidalSeq, k: int) -> SigmaPoint:
-    return dual_point(seq.info, seq._base[(k - 1) % seq.ell], (k - 1) // seq.ell)
+    return dual_point(seq.info, _base(seq)[(k - 1) % seq.ell], (k - 1) // seq.ell)
 
 
 def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
@@ -114,7 +120,7 @@ def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
     if h is None:
         raise DualityError(f"{seq.info.name}: labels do not form a single (-q)-lattice")
     hits = []
-    for s, base in enumerate(seq._base, start=1):
+    for s, base in enumerate(_base(seq), start=1):
         delta = point.power - base.power
         if delta % h:
             continue
@@ -227,8 +233,9 @@ def test_repeated_base_label_is_covered_twice(monkeypatch):
 
     monkeypatch.setattr(qdata, "phi", repeating_phi)
     seq = FundamentalCuspidalSeq(type_info("A2^1"), q, word)
-    assert seq._base[0] == seq._base[1]
-    point = seq._base[0]
+    base = _base(seq)
+    assert base[0] == base[1]
+    point = base[0]
     with pytest.raises(DualityError, match="covered 2 times"):
         seq.index_of(point)
     with pytest.raises(DualityError, match="covered 2 times"):
@@ -302,8 +309,7 @@ def test_decompose_reports_the_first_uncovered_label():
 
 def test_doubly_covered_label_through_decompose(monkeypatch):
     seq = _repeating_phi_seq(monkeypatch)
-    point = seq._base[0]
-    other = seq._base[2]
+    point, _, other = _base(seq)
     assert other != point
     multiset = [other, other, dual_point(seq.info, point, -3), point]
     got = _outcome(pbw.decompose, multiset, seq)
@@ -333,3 +339,67 @@ def test_bijection_without_a_single_lattice():
     got = _outcome(pbw.compose, vec, seq)
     assert got == _outcome(reference_compose, vec, seq)
     assert got.startswith("NoProviderError: ")
+
+
+# ---------------------------------------------------------------------------
+# label and index_of of the one sequence class on every complete datum
+
+
+def a_fusion_facts(n: int) -> FusionTable:
+    """The A_n^(1) fusion family V(i)_p * V(j)_{p+i+j} = V(i+j)_{p+j}."""
+    facts = [
+        FusionFact(SigmaPoint(i, 0), SigmaPoint(j, i + j), SigmaPoint(i + j, j))
+        for i in range(1, n)
+        for j in range(1, n + 1 - i)
+    ]
+    return FusionTable(type_info(f"A{n}^1"), facts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_and_reflected_sequences_index_like_the_label_map(n):
+    """Along an adapted word the minimal-pair sequence of the Q-datum gives
+    the label map's labels, and the datum reflected at the word's first
+    letter, read along the rotated word, gives S'_k = S_{k+1}; both index and
+    compose through the same table."""
+    info = type_info(f"A{n}^1")
+    facts = a_fusion_facts(n)
+    rng = random.Random(f"reflected-pbw-A{n}")
+    checked = 0
+    for heights in qdata.all_height_functions("A", n):
+        q = QDatum("A", n, heights)
+        word = qdata.some_adapted_word(q)
+        labels = FundamentalCuspidalSeq(info, q, word, facts)
+        datum = duality.from_q_datum(info, q)
+        seq = CuspidalSeq(datum, word, facts)
+        ell = seq.ell
+        rotated = word[1:] + (seq.rs.extend_letter(word, ell + 1),)
+        shifted = CuspidalSeq(duality.reflect(datum, word[0], facts), rotated, facts)
+        for k in range(-3 * ell, 3 * ell + 1):
+            point = labels.label(k)
+            assert seq.label(k) == point, (heights, k)
+            assert seq.index_of(point) == labels.index_of(point) == k, (heights, k)
+            assert shifted.label(k - 1) == point, (heights, k)
+            assert shifted.index_of(point) == k - 1, (heights, k)
+            checked += 1
+        for _ in range(MULTISETS_PER_SEQ):
+            ks = rng.sample(range(-3 * ell, 3 * ell), rng.randint(1, 2 * ell))
+            vec = ExpVec.from_dict({k: rng.randint(1, 4) for k in ks})
+            multiset = pbw.compose(vec, shifted)
+            up = ExpVec(tuple((k + 1, m) for k, m in vec.entries))
+            assert multiset == pbw.compose(up, labels), (heights, vec)
+            rng.shuffle(multiset)
+            assert pbw.decompose(multiset, shifted) == vec, (heights, vec)
+    assert checked == len(list(qdata.all_height_functions("A", n))) * (6 * ell + 1)
+
+
+def test_index_of_names_the_compound_member():
+    # along 2,1,2 the builtin A2^1 facts leave S_2 a head of two fundamentals
+    info = type_info("A2^1")
+    datum = duality.from_q_datum(info, QDatum("A", 2, (0, 1)))
+    seq = CuspidalSeq(datum, (2, 1, 2), FusionTable.builtin(info))
+    for point in (SigmaPoint(1, 2), SigmaPoint(2, 1)):
+        with pytest.raises(DualityError, match="^S_2 is compound"):
+            seq.index_of(point)
+    assert [seq.label(k) for k in (1, 2, 3)] == [SigmaPoint(1, 2), None, SigmaPoint(1, 0)]
+    with pytest.raises(DualityError, match="^S_2 is compound"):
+        pbw.decompose([SigmaPoint(1, 0)], seq)
