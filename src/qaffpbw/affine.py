@@ -41,7 +41,6 @@ __all__ = [
     "sigma_quiver",
     "register_denominator_table",
     "load_denominator_json",
-    "registered_names",
     "json_int",
     "point_from_json",
 ]
@@ -313,21 +312,6 @@ def _type_info(letter: str, sub: int, twist: int) -> AffineTypeInfo:
         comarks_sum=sum(comarks),
         star_map=_star_map(letter, twist, rank, sub),
     )
-
-
-def registered_names(max_rank: int = 8) -> tuple[str, ...]:
-    """Concrete instances of all fourteen registered families, small ranks."""
-    names: list[str] = []
-    names += [f"A{n}^1" for n in range(1, max_rank + 1)]
-    names += [f"B{n}^1" for n in range(2, max_rank + 1)]
-    names += [f"C{n}^1" for n in range(3, max_rank + 1)]
-    names += [f"D{n}^1" for n in range(4, max_rank + 1)]
-    names += ["E6^1", "E7^1", "E8^1", "F4^1", "G2^1"]
-    names += [f"A{2 * n}^2" for n in range(1, max_rank // 2 + 1)]
-    names += [f"A{2 * n - 1}^2" for n in range(2, max_rank // 2 + 1)]
-    names += [f"D{n + 1}^2" for n in range(3, max_rank + 1)]
-    names += ["E6^2", "D4^3"]
-    return tuple(names)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from .qdata import QDatum
 MAX_RANGE = 1000  # labels in a cuspidal --range
 MAX_WINDOW = 200  # exponents in a sigma-quiver --window
 MAX_TIMES = 100  # reflections by --times
+INT_DIGITS = 4300  # int() refuses integer literals of more digits by default
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
 
 _INVARIANT_KINDS = {
     "d": invariants.d_fund,
@@ -78,11 +81,27 @@ def _word(text: str) -> tuple[int, ...]:
         raise ValueError(f"--word must be comma-separated nodes, got {text!r}") from None
 
 
+def _int(text: str, digits: int) -> int | None:
+    """int(text), or None past `digits` significant digits; they are counted
+    first, since int() refuses a few thousand digits."""
+    match = _INTEGER.fullmatch(text)
+    if not match:
+        raise ValueError(f"invalid integer {text!r}")
+    significant = match[2].replace("_", "").lstrip("0") or "0"
+    return None if len(significant) > digits else int(match[1] + significant)
+
+
+def _times(text: str) -> int | None:
+    return _int(text, len(str(MAX_TIMES)))
+
+
 def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
     try:
-        lo, hi = (int(x) for x in text.split(".."))
+        lo, hi = (_int(x, INT_DIGITS) for x in text.split(".."))
     except ValueError:
         raise ValueError(f"{flag} must be lo..hi, got {text!r}") from None
+    if lo is None or hi is None:
+        raise ValueError(f"{flag} has a bound past {INT_DIGITS} digits; the limit is {limit}")
     if hi - lo + 1 > limit:
         raise ValueError(f"{flag} {text} spans {hi - lo + 1} values; the limit is {limit}")
     return lo, hi
@@ -210,8 +229,8 @@ def _cmd_datum_from_q(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    if not 0 <= args.times <= MAX_TIMES:
-        raise ValueError(f"--times {args.times} is outside 0..{MAX_TIMES}")
+    if args.times is None or not 0 <= args.times <= MAX_TIMES:
+        raise ValueError(f"--times must be in 0..{MAX_TIMES}")
     info = _type(args.type, "--type")
     _load_denoms(info, args.denoms)
     facts = _load_facts(info, args.facts)
@@ -433,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--times", type=int, default=1)
+    p.add_argument("--times", type=_times, default=1)
 
     p = command(
         "cuspidal", _cmd_cuspidal, "materialize a cuspidal sequence window",

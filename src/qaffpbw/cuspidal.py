@@ -21,6 +21,7 @@ unmixedness from ``invariants.mixing_shift``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import duality as duality_mod
@@ -104,9 +105,10 @@ class CuspidalSeq:
 
     Once S_1 .. S_l are all fundamental and the type has an integer dual
     shift h, one period S_1 .. S_2l is kept as node and power int lists,
-    since S_{k+2l} is S_k moved up by 2h, and indexed by (node, power mod
-    2h): ``label(k)`` and ``index_of(x)`` each cost one divmod and one
-    table read.
+    since S_{k+2l} is S_k moved up by 2h, and as a flat list at node * 2h +
+    power mod 2h.  ``label(k)`` costs one divmod and one read; the batch
+    reads ``exponents`` and ``multiset``, behind ``pbw.decompose`` and
+    ``pbw.compose``, make one pass over the table per call.
     """
 
     def __init__(self, datum: DualityDatum, word: Word, facts: FusionTable | None = None):
@@ -122,6 +124,7 @@ class CuspidalSeq:
         self.ell = len(self.word)
         self._memo: dict[int, Expr] = {}
         self._lift: int | None = None  # 2h, once the label table is built
+        self._table: list[tuple[int, int] | None] = []
         self._compound = 0  # r of the first compound S_r, once one is found
 
     def materialize(self, k: int) -> Expr:
@@ -159,9 +162,13 @@ class CuspidalSeq:
         lift = 2 * self.info.dual_shift_exponent
         self._nodes = [x.node for x in period]
         self._powers = [x.power for x in period]
-        self._index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for r, x in enumerate(period):
-            self._index.setdefault((x.node, x.power % lift), []).append((r, x.power))
+        slots = [x.node * lift + x.power % lift for x in period]
+        self._cover = Counter(slots)
+        # (r + 1, power) where one label of the period lands, None elsewhere
+        self._table = [None] * ((max(slots) // lift + 1) * lift)
+        for r, slot in enumerate(slots):
+            if self._cover[slot] == 1:
+                self._table[slot] = (r + 1, self._powers[r])
         self._lift = lift  # last, so whoever sees it sees the whole table
         return True
 
@@ -174,21 +181,55 @@ class CuspidalSeq:
 
     def index_of(self, point: SigmaPoint) -> int:
         """The unique k with S_k at the given label; sigma0 bijectivity."""
+        return next(iter(self.exponents({point: 1})))
+
+    def exponents(self, counts: dict[SigmaPoint, int]) -> dict[int, int]:
+        """{k: mult} for {label of S_k: mult}; the first label, in dict
+        order, that no S_k or several carry raises a DualityError."""
         lift = self._lift
-        if lift is None:
+        if lift is None and counts:
             if self.info.dual_shift_exponent is None:
                 raise DualityError(f"{self.info.name}: labels do not form a single (-q)-lattice")
             if not self._index_period():
                 raise DualityError(f"S_{self._compound} is compound, so the labels have no index")
             lift = self._lift
-        hits = self._index.get((point.node, point.power % lift), ())
-        if len(hits) != 1:
-            raise DualityError(
-                f"label {point} is covered {len(hits)} times; "
-                "expected a bijective cuspidal sequence"
-            )
-        ((r, power),) = hits
-        return r + 1 + 2 * self.ell * ((point.power - power) // lift)
+        table, size, period, exps = self._table, len(self._table), 2 * self.ell, {}
+        for point, mult in counts.items():
+            node, power = point
+            slot = node * lift + power % lift
+            hit = table[slot] if 0 <= slot < size else None
+            if hit is None:
+                raise DualityError(
+                    f"label {point} is covered {self._cover[slot]} times; "
+                    "expected a bijective cuspidal sequence"
+                )
+            exps[hit[0] + period * ((power - hit[1]) // lift)] = mult
+        return exps
+
+    def multiset(self, entries) -> list[SigmaPoint]:
+        """The label of S_k repeated mult times for each (k, mult), sorted;
+        while some S_r is compound each entry reads ``label(k)``."""
+        triples = []
+        if self._lift is None and (not entries or self._compound or not self._index_period()):
+            for k, mult in entries:
+                point = self.label(k)
+                if point is None:
+                    raise ValueError(
+                        f"S_{k} is not a fundamental label; the vector is not "
+                        "composable over this sequence"
+                    )
+                triples.append((*point, mult))
+        else:
+            period, lift, nodes, powers = 2 * self.ell, self._lift, self._nodes, self._powers
+            for k, mult in entries:
+                m, r = divmod(k - 1, period)
+                triples.append((nodes[r], powers[r] + lift * m, mult))
+        # tuple.__new__ builds a SigmaPoint as SigmaPoint() does, minus a Python-level call
+        points: list[SigmaPoint] = []
+        make = tuple.__new__
+        for node, power, mult in sorted(triples):
+            points += (make(SigmaPoint, (node, power)),) * mult
+        return points
 
 
 class FundamentalCuspidalSeq(CuspidalSeq):
@@ -207,8 +248,6 @@ class FundamentalCuspidalSeq(CuspidalSeq):
             raise DualityError(f"word {word} is not adapted to the Q-datum") from None
         for k, beta in enumerate(self.rs.beta_sequence(self.word), start=1):
             self._memo[k] = Fund(mapping[beta])
-        if info.dual_shift_exponent is not None:
-            self._index_period()
 
 
 def verify_cuspidal_axioms(seq, lo: int, hi: int) -> dict:

@@ -11,6 +11,7 @@ two scans is a first-class Incomparable outcome.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +34,6 @@ __all__ = [
     "peel_top_check",
     "expvec_to_json",
     "expvec_from_json",
-    "multiset_to_json",
     "multiset_from_json",
 ]
 
@@ -63,7 +63,9 @@ class ExpVec:
         return cls(tuple(cleaned))
 
     def __getitem__(self, k: int) -> int:
-        return dict(self.entries).get(k, 0)
+        at = bisect_left(self.entries, (k,))  # (k,) sorts before every (k, v)
+        hit = self.entries[at : at + 1]
+        return hit[0][1] if hit and hit[0][0] == k else 0
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -135,32 +137,16 @@ def decompose(multiset, seq) -> ExpVec:
     """Exponent vector of a dominant multiset of fundamental labels.
 
     The sequence must cover sigma0 bijectively by fundamentals (that of a
-    Q-datum or of a reflected one).  Each distinct label is looked up once,
-    in order of first occurrence, and its multiplicity is the exponent:
-    ``index_of`` is injective (S_k is the label it was asked for).
+    Q-datum or of a reflected one).  Each distinct label, counted once, is
+    mapped to its k in one ``seq.exponents`` pass: S_k is the label asked for.
     """
-    counts = Counter(multiset)
-    index_of = seq.index_of
-    return ExpVec(tuple(sorted([(index_of(x), m) for x, m in counts.items()])))
+    exps = seq.exponents(Counter(multiset))
+    return ExpVec(tuple((k, exps[k]) for k in sorted(exps)))
 
 
 def compose(a: ExpVec, seq) -> list[SigmaPoint]:
-    """Multiset of labels with multiplicities a_k; inverse of decompose.
-
-    Reads ``seq.label(k)`` for each support index; the distinct labels are
-    sorted once and then repeated.
-    """
-    label = seq.label
-    counts: dict[SigmaPoint, int] = {}
-    for k, mult in a.entries:
-        point = label(k)
-        if point is None:
-            raise ValueError(
-                f"S_{k} is not a fundamental label; the vector is not "
-                "composable over this sequence"
-            )
-        counts[point] = counts.get(point, 0) + mult
-    return [point for point in sorted(counts) for _ in range(counts[point])]
+    """Sorted multiset of labels with multiplicities a_k; inverse of decompose."""
+    return seq.multiset(a.entries)
 
 
 def dshift(a: ExpVec, m: int, ell: int) -> ExpVec:
@@ -216,10 +202,6 @@ def expvec_from_json(doc: str | dict) -> ExpVec:
             raise ValueError(f"{field} names index {index} twice")
         entries[index] = json_int(value, f"{field} entry {key}")
     return ExpVec.from_dict(entries)
-
-
-def multiset_to_json(points) -> list:
-    return [[p.node, p.power] for p in sorted(points)]
 
 
 def multiset_from_json(doc: str | list) -> list[SigmaPoint]:

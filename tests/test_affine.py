@@ -223,8 +223,24 @@ def test_sigma_quiver_connected_on_wide_windows():
         assert seen == set(vertices), f"sigma0 quiver of A{n}^1 disconnected"
 
 
+def registered_names(max_rank: int = 8) -> tuple[str, ...]:
+    """Concrete instances of all fourteen registered families, small ranks;
+    the probe-basis tests read it too."""
+    names: list[str] = []
+    names += [f"A{n}^1" for n in range(1, max_rank + 1)]
+    names += [f"B{n}^1" for n in range(2, max_rank + 1)]
+    names += [f"C{n}^1" for n in range(3, max_rank + 1)]
+    names += [f"D{n}^1" for n in range(4, max_rank + 1)]
+    names += ["E6^1", "E7^1", "E8^1", "F4^1", "G2^1"]
+    names += [f"A{2 * n}^2" for n in range(1, max_rank // 2 + 1)]
+    names += [f"A{2 * n - 1}^2" for n in range(2, max_rank // 2 + 1)]
+    names += [f"D{n + 1}^2" for n in range(3, max_rank + 1)]
+    names += ["E6^2", "D4^3"]
+    return tuple(names)
+
+
 def test_all_registered_names_resolve():
-    for name in affine.registered_names(6):
+    for name in registered_names(6):
         info = type_info(name)
         assert info.rank >= 1
         for i in range(1, info.rank + 1):

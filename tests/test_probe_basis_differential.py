@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_affine import registered_names
 
 from qaffpbw import affine, invariants, modexpr
 from qaffpbw._linalg import kernel_primitive, pivot_columns, solve_exact
@@ -245,7 +246,7 @@ def _affine_cartan(name):
     return affine._gcm(edges, rank + 1)
 
 
-@pytest.mark.parametrize("name", affine.registered_names(8))
+@pytest.mark.parametrize("name", registered_names(8))
 def test_kernel_primitive_matches_rref_on_affine_cartan(name):
     gcm = _affine_cartan(name)
     for mat in (gcm, [list(col) for col in zip(*gcm)]):
