@@ -35,7 +35,6 @@ from .invariants import (
     de_tilde_fund,
     lambda_fund,
     lambda_inf_fund,
-    lambda_inf_word,
     pairing_E,
     root_coordinates,
     zero_c_fund,
@@ -90,7 +89,6 @@ __all__ = [
     "is_adapted",
     "lambda_fund",
     "lambda_inf_fund",
-    "lambda_inf_word",
     "load_denominator_json",
     "pairing_E",
     "phi",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -235,7 +235,7 @@ class AffineTypeInfo:
     comarks_sum: int  # <c, rho>
     star_map: tuple[int, ...]  # star_map[i-1] = i* on I0
 
-    @property
+    @cached_property
     def dual_shift_exponent(self) -> int | None:
         """h with p* = (-q)^h, or None when p* is not a power of -q."""
         if (self.marks_sum - self.comarks_sum) % 2 == 0:
@@ -248,19 +248,16 @@ class AffineTypeInfo:
         return self.star_map[i - 1]
 
     def in_sigma0(self, point: SigmaPoint) -> bool:
-        base, period = _sigma0_lattice(self)
-        if point.node not in base:
-            return False
-        gap = point.power - base[point.node]
-        return gap % period == 0 if period else gap == 0
+        return point in self.sigma0_points(point.power, point.power)
 
     def sigma0_points(self, lo: int, hi: int) -> tuple[SigmaPoint, ...]:
-        """All sigma0 labels with exponent in [lo, hi]."""
+        """All sigma0 labels with exponent in [lo, hi]: the one membership rule."""
+        base, period = _sigma0_lattice(self) if lo <= hi else ({}, 0)  # empty: no zeros read
         return tuple(
             SigmaPoint(i, p)
             for p in range(lo, hi + 1)
             for i in range(1, self.rank + 1)
-            if self.in_sigma0(SigmaPoint(i, p))
+            if i in base and ((p - base[i]) % period == 0 if period else p == base[i])
         )
 
 
@@ -338,7 +335,6 @@ ZeroTable = dict[tuple[int, int], tuple[int, ...]]
 _EXTERNAL_TABLES: dict[str, ZeroTable] = {}
 
 
-@lru_cache(maxsize=None)
 def _a_type_zeros(n: int, i: int, j: int) -> tuple[int, ...]:
     top = min(i, j, n + 1 - i, n + 1 - j)
     return tuple(abs(i - j) + 2 * s for s in range(1, top + 1))
@@ -350,15 +346,28 @@ def denom_zeros(info: AffineTypeInfo, i: int, j: int) -> tuple[int, ...]:
     A zero at exponent m means d_{V(varpi_i),V(varpi_j)}(z) vanishes at
     z = (-q)^m; multiple zeros are repeated.
     """
-    for node in (i, j):
+    return _zeros(info, i, j)[i][j]
+
+
+def _zeros(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The type's dense table ``zeros[i][j]`` (row and column 0 empty), kept in
+    ``_derived``; the given nodes are checked first, in order, then the provider."""
+    for node in nodes:
         if not 1 <= node <= info.rank:
             raise AffineTypeError(f"node {node} out of range for {info.name}")
-    if info.letter == "A" and info.twist == 1:
-        return _a_type_zeros(info.rank, i, j)
-    table = _EXTERNAL_TABLES.get(info.name)
-    if table is None:
-        raise NoProviderError(f"{info.name}: no denominator table registered")
-    return table.get((i, j), ())
+    memo = _derived(info)
+    zeros = memo.get("zeros")
+    if zeros is None:
+        span = range(1, info.rank + 1)
+        table = _EXTERNAL_TABLES.get(info.name)
+        if info.letter == "A" and info.twist == 1:
+            table = {(i, j): _a_type_zeros(info.rank, i, j) for i in span for j in span}
+        elif table is None:
+            raise NoProviderError(f"{info.name}: no denominator table registered")
+        zeros = memo["zeros"] = ((),) + tuple(
+            ((),) + tuple(table.get((i, j), ()) for j in span) for i in span
+        )
+    return zeros
 
 
 _DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
@@ -367,7 +376,8 @@ _DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
 def _derived(info: AffineTypeInfo) -> dict:
     """The memo of values derived from a type's zeros.
 
-    A key names its value: ``"sigma0"`` for ``_sigma0_lattice``,
+    A key names its value: ``"zeros"`` for the dense table of ``_zeros``,
+    ``"sigma0"`` for ``_sigma0_lattice``,
     ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
     ``"probe_basis"`` for ``modexpr._probe_basis``,
     ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``
@@ -400,11 +410,12 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
     cached = memo.get("sigma0")
     if cached is not None:
         return cached
+    zeros = _zeros(info)
     base, frontier, period = {1: 0}, [1], 0
     while frontier:
         i = frontier.pop()
         for j in range(1, info.rank + 1):
-            for m in denom_zeros(info, i, j) + denom_zeros(info, j, i):
+            for m in zeros[i][j] + zeros[j][i]:
                 if j not in base:
                     base[j] = base[i] + m
                     frontier.append(j)
@@ -473,11 +484,12 @@ def sigma_quiver(
     """
     vertices = info.sigma0_points(lo, hi)
     position = {v: n for n, v in enumerate(vertices)}
+    zeros = _zeros(info) if vertices else ()  # an empty window reads no zeros
     arrows = []
     for src in vertices:
         mult: dict[SigmaPoint, int] = {}
         for j in range(1, info.rank + 1):
-            for m in denom_zeros(info, src.node, j):
+            for m in zeros[src.node][j]:
                 dst = SigmaPoint(j, src.power + m)
                 if dst in position:
                     mult[dst] = mult.get(dst, 0) + 1

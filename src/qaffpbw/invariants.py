@@ -23,7 +23,8 @@ All sums are finite because the zero multisets are.  ``shift_profile`` reads
 the k with d(x, D^k y) != 0 straight off the zeros: D^k y sits at node y or
 y* and exponent p_y + k h, so a zero m of d_{i,n} (n in {y, y*}) pins
 k = (m + p_x - p_y) / h and a zero m of d_{n,i} pins k = (p_x - p_y - m) / h;
-k counts when the division is exact and D^k y really lands on node n.
+k counts when the division is exact and D^k y, at y* for odd k and y for
+even k, lands on node n.  The zeros are rows of the dense ``affine._zeros``.
 
 Two facts hold for any zero table, registered ones included:
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from . import affine
 from ._linalg import solve_exact
-from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, dual_point
+from .affine import AffineTypeInfo, NoProviderError, SigmaPoint
 from .rootsys import cartan
 
 __all__ = [
@@ -53,16 +54,15 @@ __all__ = [
     "zero_c_fund",
     "pairing_E",
     "root_coordinates",
-    "lambda_inf_word",
 ]
 
 
 def d_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """The invariant d between two fundamental labels (symmetric, >= 0)."""
+    i, j = x.node, y.node
+    zeros = affine._zeros(info, i, j)
     gap = y.power - x.power
-    forward = affine.denom_zeros(info, x.node, y.node).count(gap)
-    backward = affine.denom_zeros(info, y.node, x.node).count(-gap)
-    return forward + backward
+    return zeros[i][j].count(gap) + zeros[j][i].count(-gap)
 
 
 def shift_profile(
@@ -73,13 +73,15 @@ def shift_profile(
     if h is None:
         raise NoProviderError(f"{info.name}: no dual shift on labels")
     gap = x.power - y.power
+    i, j = x.node, y.node
+    j_star = info.star(j)  # checks j before _zeros checks i
+    zeros = affine._zeros(info, i)
     profile: dict[int, int] = {}
-    for n in {y.node, info.star(y.node)}:
-        shifts = [m + gap for m in affine.denom_zeros(info, x.node, n)]
-        shifts += [gap - m for m in affine.denom_zeros(info, n, x.node)]
+    for n in {j, j_star}:
+        shifts = [m + gap for m in zeros[i][n]] + [gap - m for m in zeros[n][i]]
         for shift in shifts:
             k, rest = divmod(shift, h)
-            if not rest and dual_point(info, y, k).node == n:
+            if not rest and (j_star if k % 2 else j) == n:  # D^k y lands on node n
                 profile[k] = profile.get(k, 0) + 1
     return profile
 
@@ -127,18 +129,6 @@ def zero_c_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
 def pairing_E(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """The block pairing (E(x), E(y)) = -Lambda8(x, y)."""
     return -lambda_inf_fund(info, x, y)
-
-
-def lambda_inf_word(
-    info: AffineTypeInfo,
-    xs: list[SigmaPoint] | tuple[SigmaPoint, ...],
-    ys: list[SigmaPoint] | tuple[SigmaPoint, ...],
-) -> int:
-    """Lambda8 between tensor words, additive over all factor pairs.
-
-    The value is exact for any simple subquotient of either product.
-    """
-    return sum(lambda_inf_fund(info, x, y) for x in xs for y in ys)
 
 
 def root_coordinates(

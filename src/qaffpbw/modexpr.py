@@ -35,6 +35,8 @@ Nested heads in leading position flatten exactly under the left-nested
 reading; a dual only distributes over a head whose factor list is certified
 normal (pairwise strongly unmixed fundamentals, repeats allowed).
 
+Heads and duals hash once: the first ``hash`` of a node keeps the value the
+generated dataclass hash gives, so memo lookups stop re-walking subtrees.
 Normal forms are memoized per type and fusion table: ``normalize`` without a
 schedule keeps the form of every non-leaf expression it reaches in the type's
 memo (``affine._derived``) under ``("normal", facts)``.  Fusion tables compare
@@ -103,6 +105,13 @@ class Dual:
     shift: int
     inner: "Expr"
 
+    _hash = None  # the generated dataclass hash, kept: lookups would re-walk the subtree
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self.__dict__["_hash"] = hash((self.shift, self.inner))
+        return self._hash
+
     def __repr__(self) -> str:
         return f"Dual({self.shift}, {self.inner!r})"
 
@@ -110,6 +119,13 @@ class Dual:
 @dataclass(frozen=True)
 class Head:
     factors: tuple["Expr", ...]
+
+    _hash = None  # as for Dual; a list of factors raises below, so nothing is kept
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self.__dict__["_hash"] = hash((self.factors,))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(f) for f in self.factors)
@@ -227,11 +243,12 @@ class FusionTable:
 
 
 def _is_dual_pair(info: AffineTypeInfo, first: Expr, second: Expr) -> bool:
-    return (
-        isinstance(first, Fund)
-        and isinstance(second, Fund)
-        and dual_point(info, first.point, 1) == second.point
-    )
+    if not (isinstance(first, Fund) and isinstance(second, Fund)):
+        return False
+    x, y, h = first.point, second.point, info.dual_shift_exponent
+    if h is None:
+        dual_point(info, x)  # raises its NoProviderError
+    return y.node == info.star(x.node) and y.power == x.power + h
 
 
 def certified_normal(info: AffineTypeInfo, factors: Sequence[Expr]) -> bool:

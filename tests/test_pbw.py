@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from test_invariants import lambda_inf_word
 
 from qaffpbw import duality, pbw, qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
@@ -186,9 +187,7 @@ def test_block_constraint_on_standard_words():
 
 
 def pbw_profile(points, probe):
-    from qaffpbw import invariants
-
-    return invariants.lambda_inf_word(A2, points, [probe])
+    return lambda_inf_word(A2, points, [probe])
 
 
 def multiset_to_json(points) -> list:

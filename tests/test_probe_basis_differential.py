@@ -4,9 +4,10 @@
 the sigma0 labels of the window 0..h-1 at the pivot columns of the window's
 Lambda8 Gram matrix.  ``block_profile`` sums one memo row per leaf label.
 The references below are the code they replaced, kept here: a profile made
-of one ``lambda_inf_word`` call per probe, ``equal`` probing the whole
-window, and the Fraction-based reduced row echelon form that ``_linalg``
-used before its integer Gauss–Jordan elimination.  Verdicts, profile values,
+of one ``lambda_inf_word`` call per probe (now in ``test_invariants``),
+``equal`` probing the whole window, and the Fraction-based reduced row
+echelon form that ``_linalg`` used before its integer Gauss–Jordan
+elimination.  Verdicts, profile values,
 pivots, kernels, solutions and error class and message must agree.
 """
 
@@ -18,6 +19,7 @@ from math import gcd
 
 import pytest
 from test_affine import registered_names
+from test_invariants import lambda_inf_word
 
 from qaffpbw import affine, invariants, modexpr
 from qaffpbw._linalg import kernel_primitive, pivot_columns, solve_exact
@@ -118,7 +120,7 @@ def reference_window(info):
 
 def reference_block_profile(info, expr, probes):
     leaves = [dual_point(info, x, k) for x, k in modexpr.signed_leaves(expr)]
-    return tuple(invariants.lambda_inf_word(info, leaves, (probe,)) for probe in probes)
+    return tuple(lambda_inf_word(info, leaves, (probe,)) for probe in probes)
 
 
 def reference_equal(info, e1, e2, facts=None):

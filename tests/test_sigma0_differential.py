@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from test_invariants import lambda_inf_word
 
 from qaffpbw import affine, invariants, modexpr
 from qaffpbw.affine import SigmaPoint, denom_zeros, dual_point, sigma_quiver, type_info
@@ -147,8 +148,8 @@ def reference_equal(info, e1, e2, facts) -> Verdict:
     leaves1 = [dual_point(info, x, k) for x, k in modexpr.signed_leaves(n1)]
     leaves2 = [dual_point(info, x, k) for x, k in modexpr.signed_leaves(n2)]
     for probe in reference_probe_window(info, (n1, n2)):
-        first = invariants.lambda_inf_word(info, leaves1, (probe,))
-        if first != invariants.lambda_inf_word(info, leaves2, (probe,)):
+        first = lambda_inf_word(info, leaves1, (probe,))
+        if first != lambda_inf_word(info, leaves2, (probe,)):
             return Verdict.DISTINCT
     return Verdict.UNKNOWN
 
