@@ -12,7 +12,6 @@ from qaffpbw import (
     QDatum,
     adapted_words,
     check_strong,
-    cuspidal_expr,
     from_q_datum,
     induced_cartan,
     reflect,
@@ -38,7 +37,8 @@ rs = RootSystem("A", 2)
 for word in ((1, 2, 1), (2, 1, 2)):
     print(f"word {word}:")
     for k in (1, 2, 3):
-        print(f"  C_{k} as letters: {cuspidal_expr(rs, word, k)!r}")
+        beta = rs.beta_sequence(word)[k - 1]
+        print(f"  beta_{k} = {beta}, minimal pairs: {rs.minimal_pairs(word, k)}")
     seq = CuspidalSeq(datum, word, facts)
     for k in range(1, 7):
         print(f"  S_{k} = {seq.materialize(k)!r}")

@@ -19,7 +19,7 @@ from .affine import (
     sigma_quiver,
     type_info,
 )
-from .cuspidal import CuspidalSeq, FundamentalCuspidalSeq, cuspidal_expr
+from .cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from .duality import (
     DualityDatum,
     DualityError,
@@ -73,7 +73,6 @@ __all__ = [
     "classify_cartan",
     "cmp_bilex",
     "compose",
-    "cuspidal_expr",
     "d_fund",
     "de_tilde_fund",
     "decompose",

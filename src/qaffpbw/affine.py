@@ -429,10 +429,16 @@ def register_denominator_table(
 ) -> None:
     info = type_info(name)
     table: ZeroTable = {}
-    for (i, j), ms in zeros.items():
+    for pair, ms in zeros.items():
+        field = f"node pair {pair!r} for {name}"
+        try:  # the JSON integer rule: 2.5 and True are refused, not truncated
+            i, j = (json_int(node, field) for node in pair)
+            row = tuple(sorted(json_int(m, f"a zero of {field}") for m in ms))
+        except ValueError as err:
+            raise AffineTypeError(str(err)) from None
         if not (1 <= i <= info.rank and 1 <= j <= info.rank):
             raise AffineTypeError(f"node pair {(i, j)} out of range for {name}")
-        table[(i, j)] = tuple(sorted(int(m) for m in ms))
+        table[(i, j)] = row
     _EXTERNAL_TABLES[info.name] = table
 
 

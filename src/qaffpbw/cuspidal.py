@@ -4,11 +4,10 @@ Inside the fundamental window 1..l the k-th cuspidal label is built by the
 minimal-pair recursion over the convex order of the word
 
     C_k = C_a * C_b        for a minimal pair (a, b) of beta_k,
-    C_k = Letter(i_k)      when beta_k is simple,
+    C_k = R_j              when beta_k is the simple root alpha_j,
 
-with letters substituted by the members of the datum and * evaluated as a
-head.  Outside the window the sequence extends by the dual-shift law
-S_{k+l} = D(S_k).
+with R_j the j-th member of the datum and * evaluated as a head.  Outside
+the window the sequence extends by the dual-shift law S_{k+l} = D(S_k).
 
 ``CuspidalSeq`` is the one sequence class: it owns the memo, the dual-shift
 extension, ``range``, ``label`` and ``index_of``.  ``FundamentalCuspidalSeq``
@@ -22,7 +21,6 @@ unmixedness from ``invariants.mixing_shift``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import duality as duality_mod
 from . import invariants, modexpr
@@ -32,10 +30,6 @@ from .modexpr import Expr, Fund, FusionTable, Verdict
 from .rootsys import RootSystem, RootSystemError, Word
 
 __all__ = [
-    "Letter",
-    "Conv",
-    "CuspExpr",
-    "cuspidal_expr",
     "CuspidalSeq",
     "FundamentalCuspidalSeq",
     "verify_cuspidal_axioms",
@@ -43,42 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Letter:
-    node: int
-
-    def __repr__(self) -> str:
-        return f"L{self.node}"
-
-
-@dataclass(frozen=True)
-class Conv:
-    left: "CuspExpr"
-    right: "CuspExpr"
-
-    def __repr__(self) -> str:
-        return f"hd({self.left!r}, {self.right!r})"
-
-
-CuspExpr = Letter | Conv
-
-
-def cuspidal_expr(rs: RootSystem, word: Word, k: int) -> CuspExpr:
-    """Formal letter expression of the k-th cuspidal module, 1 <= k <= l."""
-    if not rs.spells_longest(word):
-        raise RootSystemError("word does not spell the longest element")
-    if not 1 <= k <= len(word):
-        raise RootSystemError(f"index {k} outside 1..{len(word)}")
-    step = _recursion_step(rs, word, k)
-    if isinstance(step, int):
-        return Letter(step)
-    a, b = step
-    return Conv(cuspidal_expr(rs, word, a), cuspidal_expr(rs, word, b))
-
-
 def _recursion_step(rs: RootSystem, word: Word, k: int) -> int | tuple[int, int]:
-    """The node j when beta_k = alpha_j (the letter module L(j)), otherwise
-    the minimal pair (a, b) of beta_k the recursion takes."""
+    """The node j when beta_k = alpha_j (the member R_j), otherwise the
+    minimal pair (a, b) of beta_k the recursion takes."""
     beta = rs.beta_sequence(word)[k - 1]
     if sum(beta) == 1:
         return beta.index(1) + 1

@@ -333,24 +333,6 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
     )
 
 
-def braid_check(
-    datum: DualityDatum, i: int, j: int, facts: FusionTable | None = None
-) -> Verdict:
-    """Experimental property check of the braid relation between S_i, S_j.
-
-    Compares the two sides member-wise with the sound comparator; this is a
-    test of the data, never an assumed rewrite.
-    """
-    cartan = induced_cartan(datum)
-    if cartan[i - 1][j - 1] == 0:
-        lhs = reflect(reflect(datum, i, facts), j, facts)
-        rhs = reflect(reflect(datum, j, facts), i, facts)
-    else:
-        lhs = reflect(reflect(reflect(datum, i, facts), j, facts), i, facts)
-        rhs = reflect(reflect(reflect(datum, j, facts), i, facts), j, facts)
-    return datum_equal(lhs, rhs, facts)
-
-
 def datum_equal(
     a: DualityDatum, b: DualityDatum, facts: FusionTable | None = None
 ) -> Verdict:

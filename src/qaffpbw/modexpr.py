@@ -19,7 +19,8 @@ denoted simple module.  The rules are
        deterministic by taking the lexicographically least representative
        of the commutation class,
   (R3) fusion facts: verified identities Head[fund, fund] = Fund supplied
-       as data, applied where the grouping is exact,
+       as data, each read under every translation and the star mirror and
+       applied where the grouping is exact,
   (R4) dropping trivial factors.
 
 Each size-reducing rule (R1, R3) is a condition on the factor list that
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import add
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import affine, invariants
 from ._linalg import pivot_columns
@@ -145,28 +146,35 @@ class Verdict(Enum):
 # fusion facts
 
 
-@dataclass(frozen=True)
-class FusionFact:
+class FusionFact(NamedTuple):
     left: SigmaPoint
     right: SigmaPoint
     result: SigmaPoint
-    shift_equivariant: bool = True
 
 
 class FusionTable:
     """Verified two-factor fusion identities Head[a, b] = Fund(c).
 
-    A shift-equivariant fact holds under any common exponent translation and
-    under the dual shift (node stars, same exponent differences).
+    A fact holds under any common exponent translation and under the dual
+    shift, which stars the nodes and keeps the exponent differences:
+    D(M * N) = DM * DN when one factor is real, and fundamentals are real
+    (Kang-Kashiwara-Kim-Oh, *Simplicity of heads and socles of tensor
+    products*, 2015).  So the table is one dict keyed by (left node, right
+    node, exponent gap), holding each fact and then its star mirror; the
+    first fact for a key wins.
     """
 
     def __init__(self, info: AffineTypeInfo, facts: Iterable[FusionFact] = ()):
         self.info = info
         self.facts = tuple(facts)
-        # plain tuples, so that comparing two tables stays in C
-        rows = tuple((f.left, f.right, f.result, f.shift_equivariant) for f in self.facts)
-        self._key = (info.name, rows)
+        self._key = (info.name, self.facts)
         self._hash = hash(self._key)
+        star = info.star  # raises AffineTypeError on a node outside 1..rank
+        # (node, node, gap) -> (result node, result power - left power)
+        self._rules: dict[tuple[int, int, int], tuple[int, int]] = {}
+        for (i, p), (j, r), (c, s) in self.facts:
+            self._rules.setdefault((i, j, r - p), (c, s - p))
+            self._rules.setdefault((star(i), star(j), r - p), (star(c), s - p))
 
     # a table is a value: equal tables share the normal forms of ``normalize``
     def __eq__(self, other) -> bool:
@@ -176,20 +184,8 @@ class FusionTable:
         return self._hash
 
     def lookup(self, a: SigmaPoint, b: SigmaPoint) -> SigmaPoint | None:
-        star = self.info.star
-        for fact in self.facts:
-            if not fact.shift_equivariant:
-                if (a, b) == (fact.left, fact.right):
-                    return fact.result
-                continue
-            if b.power - a.power != fact.right.power - fact.left.power:
-                continue
-            shift = a.power - fact.left.power
-            if (a.node, b.node) == (fact.left.node, fact.right.node):
-                return SigmaPoint(fact.result.node, fact.result.power + shift)
-            if (a.node, b.node) == (star(fact.left.node), star(fact.right.node)):
-                return SigmaPoint(star(fact.result.node), fact.result.power + shift)
-        return None
+        rule = self._rules.get((a.node, b.node, b.power - a.power))
+        return None if rule is None else SigmaPoint(rule[0], a.power + rule[1])
 
     @classmethod
     def from_json(cls, info: AffineTypeInfo, doc: str | dict) -> "FusionTable":
@@ -210,10 +206,10 @@ class FusionTable:
                     f"fusion fact field 'head' must hold two labels, got {entry!r}"
                 )
             equivariant = entry.get("shift_equivariant", True)
-            if not isinstance(equivariant, bool):
+            if equivariant is not True:
                 raise ValueError(
-                    f"fusion fact field 'shift_equivariant' must be true or false, "
-                    f"got {equivariant!r}"
+                    f"fusion fact field 'shift_equivariant' must be true (every fact "
+                    f"holds under translation and the dual shift), got {equivariant!r}"
                 )
             points = []
             for field, value in (("head", head[0]), ("head", head[1]), ("eq", entry.get("eq"))):
@@ -224,7 +220,7 @@ class FusionTable:
                         f"outside 1..{info.rank}"
                     )
                 points.append(point)
-            facts.append(FusionFact(*points, shift_equivariant=equivariant))
+            facts.append(FusionFact(*points))
         return cls(info, facts)
 
     @classmethod

@@ -165,6 +165,26 @@ def test_denominator_json_roundtrip():
     affine._EXTERNAL_TABLES.pop("D4^1")
 
 
+def test_registered_zeros_follow_the_json_integer_rule():
+    for zeros, bad in (
+        ({(1, 1): [2.5, True]}, "a zero of node pair (1, 1) for D4^1 must be an integer, got 2.5"),
+        ({(1, 1): [True]}, "a zero of node pair (1, 1) for D4^1 must be an integer, got True"),
+        ({(1.5, 2): [3]}, "node pair (1.5, 2) for D4^1 must be an integer, got 1.5"),
+    ):
+        with pytest.raises(AffineTypeError) as err:
+            affine.register_denominator_table("D4^1", zeros)
+        assert str(err.value) == bad
+        assert "D4^1" not in affine._EXTERNAL_TABLES
+    # integral floats are read as the integers they are
+    affine.register_denominator_table("D4^1", {(1.0, 2): [3.0, 5]})
+    try:
+        table = affine._EXTERNAL_TABLES["D4^1"]
+        assert table == {(1, 2): (3, 5)}
+        assert all(type(x) is int for pair, zeros in table.items() for x in pair + zeros)
+    finally:
+        affine._EXTERNAL_TABLES.pop("D4^1")
+
+
 def test_sigma0_parity_a_type():
     points = A2.sigma0_points(0, 3)
     assert points == (

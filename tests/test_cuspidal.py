@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from qaffpbw import cuspidal, duality
 from qaffpbw.affine import SigmaPoint, type_info
-from qaffpbw.cuspidal import Conv, CuspidalSeq, Letter, cuspidal_expr
+from qaffpbw.cuspidal import CuspidalSeq, _recursion_step
 from qaffpbw.modexpr import Fund, FusionTable, Head
 from qaffpbw.qdata import QDatum
 from qaffpbw.rootsys import RootSystem, RootSystemError
@@ -20,6 +22,43 @@ def F(i, p):
 
 def ex1_datum():
     return duality.from_q_datum(A2, QDatum("A", 2, (0, 1)))
+
+
+# the formal letter tree of the minimal-pair recursion, a reference for
+# materialize: C_k = Letter(j) when beta_k = alpha_j, else Conv(C_a, C_b)
+
+
+@dataclass(frozen=True)
+class Letter:
+    node: int
+
+    def __repr__(self) -> str:
+        return f"L{self.node}"
+
+
+@dataclass(frozen=True)
+class Conv:
+    left: "CuspExpr"
+    right: "CuspExpr"
+
+    def __repr__(self) -> str:
+        return f"hd({self.left!r}, {self.right!r})"
+
+
+CuspExpr = Letter | Conv
+
+
+def cuspidal_expr(rs: RootSystem, word, k: int) -> CuspExpr:
+    """Formal letter expression of the k-th cuspidal module, 1 <= k <= l."""
+    if not rs.spells_longest(word):
+        raise RootSystemError("word does not spell the longest element")
+    if not 1 <= k <= len(word):
+        raise RootSystemError(f"index {k} outside 1..{len(word)}")
+    step = _recursion_step(rs, word, k)
+    if isinstance(step, int):
+        return Letter(step)
+    a, b = step
+    return Conv(cuspidal_expr(rs, word, a), cuspidal_expr(rs, word, b))
 
 
 def test_cuspidal_expr():

@@ -138,9 +138,22 @@ def test_json_roundtrip():
     assert user.complete is None
 
 
+def braid_check(datum, i, j, facts=None):
+    """The braid relation between S_i and S_j, compared member-wise with the
+    sound comparator: a test of the data, never an assumed rewrite."""
+    r = duality.reflect
+    if duality.induced_cartan(datum)[i - 1][j - 1] == 0:
+        lhs = r(r(datum, i, facts), j, facts)
+        rhs = r(r(datum, j, facts), i, facts)
+    else:
+        lhs = r(r(r(datum, i, facts), j, facts), i, facts)
+        rhs = r(r(r(datum, j, facts), i, facts), j, facts)
+    return duality.datum_equal(lhs, rhs, facts)
+
+
 def test_braid_check_experimental():
     datum = ex1_datum()
-    verdict = duality.braid_check(datum, 1, 2, FACTS)
+    verdict = braid_check(datum, 1, 2, FACTS)
     assert verdict in (Verdict.EQUAL, Verdict.UNKNOWN)
 
 
