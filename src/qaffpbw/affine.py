@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, Iterable, Mapping, NamedTuple
+from operator import mul
+from typing import Callable, Mapping, NamedTuple
 
 from . import rootsys
 from ._linalg import kernel_primitive
@@ -58,7 +59,7 @@ class SigmaPoint(NamedTuple):
     node: int
     power: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"({self.node},{self.power})"
 
 
@@ -96,13 +97,19 @@ def _chain(lo: int, hi: int) -> list[Edge]:
 
 def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
     """Edge data of the affine Dynkin diagram and the classical rank."""
+    if twist == 1 and letter in "ADE":
+        # the finite diagram and alpha_0 = delta - theta, theta the highest
+        # root: a_0j = a_j0 = -<theta, alpha_j> (Kac, Table Aff 1)
+        try:
+            rs = rootsys.RootSystem(letter, sub)
+        except rootsys.RootSystemError:
+            need = {"A": "n >= 1", "D": "n >= 4", "E": "n in {6,7,8}"}[letter]
+            raise AffineTypeError(f"{letter}_n^(1) needs {need}") from None
+        theta = rs.positive_roots()[-1]
+        finite = [(i, j, -1, -1) for i, j in rootsys.dynkin_edges(letter, sub)]
+        pairings = (sum(map(mul, theta, row)) for row in rs.cartan_matrix)
+        return finite + [(0, j, -c, -c) for j, c in enumerate(pairings, 1) if c], sub
     if twist == 1:
-        if letter == "A":
-            if sub < 1:
-                raise AffineTypeError("A_n^(1) needs n >= 1")
-            if sub == 1:
-                return [(0, 1, -2, -2)], 1
-            return _chain(0, sub) + [(sub, 0, -1, -1)], sub
         if letter == "B":
             if sub == 2:
                 # 0 => 2 <= 1, the short middle node is 2
@@ -122,20 +129,6 @@ def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
                 + _chain(1, sub - 1)
                 + [(sub - 1, sub, -2, -1)]
             ), sub
-        if letter == "D":
-            if sub < 4:
-                raise AffineTypeError("D_n^(1) needs n >= 4")
-            return (
-                [(0, 2, -1, -1)]
-                + _chain(1, sub - 2)
-                + [(sub - 2, sub - 1, -1, -1), (sub - 2, sub, -1, -1)]
-            ), sub
-        if letter == "E":
-            if sub not in (6, 7, 8):
-                raise AffineTypeError("E_n^(1) needs n in {6,7,8}")
-            finite = [(i, j, -1, -1) for i, j in rootsys.dynkin_edges("E", sub)]
-            attach = {6: 2, 7: 1, 8: 8}[sub]
-            return finite + [(0, attach, -1, -1)], sub
         if letter == "F":
             if sub != 4:
                 raise AffineTypeError("F_4^(1) needs n = 4")
@@ -425,12 +418,14 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
 
 
 def register_denominator_table(
-    name: str, zeros: Mapping[tuple[int, int], Iterable[int]]
+    name: str, zeros: Mapping[tuple[int, int], list[int] | tuple[int, ...]]
 ) -> None:
     info = type_info(name)
     table: ZeroTable = {}
     for pair, ms in zeros.items():
         field = f"node pair {pair!r} for {name}"
+        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(ms, (list, tuple))):
+            raise AffineTypeError(f"{field} must be an (i, j) key with a list of zeros: {ms!r}")
         try:  # the JSON integer rule: 2.5 and True are refused, not truncated
             i, j = (json_int(node, field) for node in pair)
             row = tuple(sorted(json_int(m, f"a zero of {field}") for m in ms))

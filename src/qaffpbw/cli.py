@@ -17,7 +17,7 @@ from pathlib import Path
 from . import affine, cuspidal, duality, invariants, modexpr, pbw, qdata, rootsys
 from .affine import SigmaPoint, json_int, type_info
 from .cuspidal import CuspidalSeq, FundamentalCuspidalSeq
-from .modexpr import FusionTable
+from .modexpr import Fund, FusionTable, Head, Verdict
 from .qdata import QDatum
 
 # Largest requests accepted, so that an oversized one fails at once instead of
@@ -348,8 +348,6 @@ def _cmd_verify_examples(args) -> int:
 
 
 def _example_corpus() -> list[tuple[str, bool]]:
-    from .modexpr import Fund, Head, Verdict
-
     info = type_info("A2^1")
     facts = FusionTable.builtin(info)
     P = SigmaPoint

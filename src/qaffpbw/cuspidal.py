@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import duality as duality_mod
-from . import invariants, modexpr
+from . import invariants, modexpr, qdata
 from .affine import SigmaPoint, denom_zeros, dual_point
 from .duality import DualityDatum, DualityError
 from .modexpr import Expr, Fund, FusionTable, Verdict
@@ -200,8 +200,6 @@ class FundamentalCuspidalSeq(CuspidalSeq):
     exponent-vector parametrization)."""
 
     def __init__(self, info, q, word: Word, facts: FusionTable | None = None):
-        from . import qdata
-
         self._start(info, q.root_system, word, facts)
         try:
             mapping = qdata.phi(q, self.word)

@@ -71,10 +71,6 @@ class ExpVec:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.entries)
 
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

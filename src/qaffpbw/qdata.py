@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator
 
 from . import rootsys
@@ -72,19 +73,12 @@ class QDatum:
     def root_system(self) -> RootSystem:
         return RootSystem(self.type_letter, self.rank)
 
-    def xi(self, i: int) -> int:
-        return self.heights[i - 1]
-
 
 def _at_minimum(q: QDatum) -> Callable[[int, list[int]], bool]:
     """The local-minimum rule as ``allowed(i, counts)``: node i is a strict
     local minimum of the running heights xi(j) + 2 * counts[j - 1]."""
     xi = q.heights
-    adj: list[list[int]] = [[] for _ in range(q.rank)]  # 0-based neighbours
-    for i, j in dynkin_edges(q.type_letter, q.rank):
-        adj[i - 1].append(j - 1)
-        adj[j - 1].append(i - 1)
-    neighbours = tuple(map(tuple, adj))
+    neighbours = [[j for j, a in enumerate(row) if a < 0] for row in q.root_system.cartan_matrix]
 
     def allowed(i: int, counts: list[int]) -> bool:
         height = xi[i - 1] + 2 * counts[i - 1]
@@ -156,34 +150,20 @@ def fundamental_labels(q: QDatum) -> dict[int, SigmaPoint]:
 
 
 def all_height_functions(type_letter: str, rank: int) -> Iterator[tuple[int, ...]]:
-    """Every height function with xi(1) = 0, one sign choice per edge."""
+    """Every height function with xi(1) = 0, one sign choice per edge.
+
+    Each edge of ``dynkin_edges`` meets a node of an earlier edge or node 1,
+    so one pass in that order fills every height from the end already set.
+    """
     edges = dynkin_edges(type_letter, rank)
-    # Dynkin diagrams are trees: BFS from node 1 fixes a parent for each node
-    parent: dict[int, int] = {}
-    order = [1]
-    seen = {1}
-    while len(order) < rank:
-        for i, j in edges:
-            if i in seen and j not in seen:
-                parent[j] = i
-                order.append(j)
-                seen.add(j)
-            elif j in seen and i not in seen:
-                parent[i] = j
-                order.append(i)
-                seen.add(i)
-
-    def grow(assigned: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        if len(assigned) == rank:
-            yield tuple(assigned[i] for i in range(1, rank + 1))
-            return
-        node = order[len(assigned)]
-        for sign in (-1, 1):
-            assigned[node] = assigned[parent[node]] + sign
-            yield from grow(assigned)
-        del assigned[node]
-
-    yield from grow({1: 0})
+    for signs in product((-1, 1), repeat=len(edges)):
+        xi = {1: 0}
+        for (i, j), sign in zip(edges, signs):
+            if i in xi:
+                xi[j] = xi[i] + sign
+            else:
+                xi[i] = xi[j] + sign
+        yield tuple(xi[i] for i in range(1, rank + 1))
 
 
 def qdatum_from_json(doc: str | dict) -> QDatum:

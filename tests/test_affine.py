@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qaffpbw import affine
+from qaffpbw._linalg import kernel_primitive
 from qaffpbw.affine import (
     AffineTypeError,
     NoProviderError,
@@ -15,6 +16,7 @@ from qaffpbw.affine import (
     sigma_quiver,
     type_info,
 )
+from qaffpbw.rootsys import MAX_RANK, RootSystem, dynkin_edges
 
 A2 = type_info("A2^1")
 
@@ -45,6 +47,59 @@ def test_type_info_unknown():
         type_info("C2^1")
     with pytest.raises(AffineTypeError, match="A_n\\^\\(1\\) needs n >= 1"):
         type_info("A0^1")
+
+
+def reference_affine_edges(letter: str, sub: int) -> tuple[list, int]:
+    """The hand-built untwisted A/D/E diagrams that the highest-root rule of
+    ``affine._affine_edges`` replaced."""
+    if letter == "A":
+        if sub < 1:
+            raise AffineTypeError("A_n^(1) needs n >= 1")
+        if sub == 1:
+            return [(0, 1, -2, -2)], 1
+        return affine._chain(0, sub) + [(sub, 0, -1, -1)], sub
+    if letter == "D":
+        if sub < 4:
+            raise AffineTypeError("D_n^(1) needs n >= 4")
+        return (
+            [(0, 2, -1, -1)]
+            + affine._chain(1, sub - 2)
+            + [(sub - 2, sub - 1, -1, -1), (sub - 2, sub, -1, -1)]
+        ), sub
+    if sub not in (6, 7, 8):
+        raise AffineTypeError("E_n^(1) needs n in {6,7,8}")
+    finite = [(i, j, -1, -1) for i, j in dynkin_edges("E", sub)]
+    attach = {6: 2, 7: 1, 8: 8}[sub]
+    return finite + [(0, attach, -1, -1)], sub
+
+
+@pytest.mark.parametrize(
+    "letter,subs",
+    [("A", range(1, MAX_RANK + 1)), ("D", range(4, MAX_RANK + 1)), ("E", (6, 7, 8))],
+    ids=["A1-A64", "D4-D64", "E6-E8"],
+)
+def test_highest_root_diagram_matches_the_hand_built_one(letter, subs):
+    for sub in subs:
+        edges, rank = reference_affine_edges(letter, sub)
+        gcm = affine._gcm(edges, rank + 1)
+        new_edges, new_rank = affine._affine_edges(letter, 1, sub)
+        assert (new_rank, affine._gcm(new_edges, rank + 1)) == (rank, gcm), sub
+        info = type_info(f"{letter}{sub}^1")
+        transposed = [list(col) for col in zip(*gcm)]
+        marks, comarks = kernel_primitive(gcm), kernel_primitive(transposed)
+        assert (info.rank, info.marks_sum, info.comarks_sum) == (rank, sum(marks), sum(comarks))
+        assert info.fin_type == (letter, sub)
+        stars = tuple(RootSystem(letter, sub).star(i) for i in range(1, sub + 1))
+        assert (info.name, info.star_map) == (f"{letter}{sub}^1", stars)
+
+
+@pytest.mark.parametrize("letter,sub", [("A", 0), ("D", 1), ("D", 2), ("D", 3), ("E", 5), ("E", 9)])
+def test_too_small_or_unknown_ade_ranks_keep_their_texts(letter, sub):
+    with pytest.raises(AffineTypeError) as expected:
+        reference_affine_edges(letter, sub)
+    with pytest.raises(AffineTypeError) as err:
+        type_info(f"{letter}{sub}^1")
+    assert str(err.value) == str(expected.value)
 
 
 def test_type_name_past_the_int_digit_limit_is_a_type_error():
@@ -166,10 +221,16 @@ def test_denominator_json_roundtrip():
 
 
 def test_registered_zeros_follow_the_json_integer_rule():
+    shape = "must be an (i, j) key with a list of zeros"
     for zeros, bad in (
         ({(1, 1): [2.5, True]}, "a zero of node pair (1, 1) for D4^1 must be an integer, got 2.5"),
         ({(1, 1): [True]}, "a zero of node pair (1, 1) for D4^1 must be an integer, got True"),
         ({(1.5, 2): [3]}, "node pair (1.5, 2) for D4^1 must be an integer, got 1.5"),
+        # keys that are not two-item pairs and rows that are not lists
+        ({(1, 1, 1): [2]}, f"node pair (1, 1, 1) for D4^1 {shape}: [2]"),
+        ({(1,): [2]}, f"node pair (1,) for D4^1 {shape}: [2]"),
+        ({1: [2]}, f"node pair 1 for D4^1 {shape}: [2]"),
+        ({(1, 1): 3}, f"node pair (1, 1) for D4^1 {shape}: 3"),
     ):
         with pytest.raises(AffineTypeError) as err:
             affine.register_denominator_table("D4^1", zeros)

@@ -115,14 +115,6 @@ def _argv(command: str, flags: list) -> list[str]:
     return [command] + [flag if value is None else f"{flag}={value}" for flag, value in flags]
 
 
-@pytest.fixture
-def restored_tables():
-    tables = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(tables)
-
-
 def test_mutated_calls_keep_the_exit_contract(restored_tables):
     rng = random.Random(SEED)
     mutations = 0

@@ -7,6 +7,7 @@ import pytest
 from qaffpbw import cuspidal, duality
 from qaffpbw.affine import SigmaPoint, type_info
 from qaffpbw.cuspidal import CuspidalSeq, _recursion_step
+from qaffpbw.duality import DualityError
 from qaffpbw.modexpr import Fund, FusionTable, Head
 from qaffpbw.qdata import QDatum
 from qaffpbw.rootsys import RootSystem, RootSystemError
@@ -245,6 +246,19 @@ def test_word_datum_mismatch():
     datum = ex1_datum()
     with pytest.raises(RootSystemError):
         CuspidalSeq(datum, (1, 2), FACTS)
+
+
+def test_word_root_system_refusals():
+    # two A3 labels with no zero between them: the induced matrix is A1 x A1
+    apart = duality.DualityDatum(info=type_info("A3^1"), members=(F(1, 0), F(1, 10)))
+    with pytest.raises(DualityError, match="splits as"):
+        CuspidalSeq(apart, (1, 2, 1))
+    # the A3 datum with its first two members swapped: connected, but node 1
+    # is the middle of the chain
+    members = duality.from_q_datum(type_info("A3^1"), QDatum("A", 3, (0, 1, 2))).members
+    swapped = duality.DualityDatum(info=type_info("A3^1"), members=members[1::-1] + members[2:])
+    with pytest.raises(DualityError, match="not in the standard node numbering"):
+        CuspidalSeq(swapped, (1, 2, 1, 3, 2, 1))
 
 
 def test_minimal_pair_tie_break_independence():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qaffpbw import duality
+from qaffpbw import duality, modexpr
 from qaffpbw.affine import SigmaPoint, type_info
 from qaffpbw.duality import DualityDatum, DualityError
 from qaffpbw.modexpr import Fund, FusionTable, Head, Verdict
@@ -157,6 +157,24 @@ def test_braid_check_experimental():
     assert verdict in (Verdict.EQUAL, Verdict.UNKNOWN)
 
 
+def test_datum_equal_verdicts():
+    datum = ex1_datum()
+    assert duality.datum_equal(datum, datum) is Verdict.EQUAL
+    # another type or another size
+    other_type = DualityDatum(info=type_info("A3^1"), members=datum.members)
+    assert duality.datum_equal(datum, other_type) is Verdict.DISTINCT
+    shorter = DualityDatum(info=A2, members=datum.members[:1])
+    assert duality.datum_equal(datum, shorter) is Verdict.DISTINCT
+    # two heads that equal leaves open; a DISTINCT member decides anyway
+    first, second = Head((F(1, -2), F(1, 0))), Head((F(1, 0), F(1, -2)))
+    assert modexpr.equal(A2, first, second) is Verdict.UNKNOWN
+    open_pair = DualityDatum(info=A2, members=(first, F(1, 2)))
+    same_head = DualityDatum(info=A2, members=(second, F(1, 2)))
+    moved = DualityDatum(info=A2, members=(second, F(2, 5)))
+    assert duality.datum_equal(open_pair, same_head) is Verdict.UNKNOWN
+    assert duality.datum_equal(open_pair, moved) is Verdict.DISTINCT
+
+
 def test_induced_cartan_recomputed_after_reflection():
     from dataclasses import replace
 
@@ -176,6 +194,9 @@ def test_from_q_datum_gates():
         duality.from_q_datum(ti("B3^1"), Q("A", 5, (0, 1, 0, 1, 0)))
     with pytest.raises(DualityError):
         duality.from_q_datum(ti("A4^2"), Q("A", 4, (0, 1, 0, 1)))
+    # the Q-datum must be of the type's associated finite type
+    with pytest.raises(DualityError, match="Q-datum type A2 does not match"):
+        duality.from_q_datum(ti("A3^1"), Q("A", 2, (0, 1)))
     # untwisted ADE without a denominator table constructs with unknown strength
     d4 = duality.from_q_datum(ti("D4^1"), Q("D", 4, (0, 1, 0, 0)))
     assert d4.strength == "unknown"

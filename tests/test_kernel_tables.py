@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 import pytest
+from conftest import ASYMMETRIC_D4, DEMO_D4, reference_is_dual_pair
 from test_rewrite_differential import _random_expr
 
 from qaffpbw import affine, invariants, modexpr
@@ -33,18 +34,6 @@ from qaffpbw.affine import (
 from qaffpbw.modexpr import Dual, Fund, Head, One
 
 P = SigmaPoint
-
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
-# a one-way entry (no (4, 3)) with a negative zero
-ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
-
-
-@pytest.fixture
-def restored_tables():
-    saved = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +182,6 @@ def reference_shift_profile(info, x, y) -> dict[int, int]:
             if not rest and dual_point(info, y, k).node == n:
                 profile[k] = profile.get(k, 0) + 1
     return profile
-
-
-def reference_is_dual_pair(info, first, second) -> bool:
-    return (
-        isinstance(first, Fund)
-        and isinstance(second, Fund)
-        and dual_point(info, first.point, 1) == second.point
-    )
 
 
 def _outcome(call):

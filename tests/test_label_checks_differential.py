@@ -22,6 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import ASYMMETRIC_D4, DEMO_D4
 
 from qaffpbw import affine, cuspidal, duality, invariants, modexpr, qdata
 from qaffpbw.affine import SigmaPoint, denom_zeros, type_info
@@ -32,9 +33,6 @@ from qaffpbw.qdata import QDatum, QDatumError
 from qaffpbw.rootsys import dynkin_edges
 
 P = SigmaPoint
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
-# a one-way entry (no (4, 3)) with a negative zero
-ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
 DATA_PER_TYPE = 150
 SPARSE_PER_SIZE = 200
 
@@ -343,14 +341,6 @@ def reflections(datum, facts):
             else:
                 assert got == expected
     return out
-
-
-@pytest.fixture
-def restored_tables():
-    saved = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(saved)
 
 
 # ---------------------------------------------------------------------------

@@ -9,28 +9,17 @@ unmemoized signed sum over the shift profile of the labels themselves, as
 from __future__ import annotations
 
 import pytest
+from conftest import ASYMMETRIC_D4, DEMO_D4
 
 from qaffpbw import affine, invariants
 from qaffpbw.affine import NoProviderError, SigmaPoint, type_info
 
 P = SigmaPoint
 
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
-# a one-way entry (no (4, 3)) with a negative zero
-ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
-
 
 def reference_lambda_inf(info, x, y) -> int:
     profile = invariants.shift_profile(info, x, y)
     return sum((-1 if k % 2 else 1) * value for k, value in profile.items())
-
-
-@pytest.fixture
-def restored_tables():
-    saved = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(saved)
 
 
 def _assert_matches_reference(info) -> None:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from test_rewrite_differential import DEMO_D4, TYPES, _corpus, reference_normalize
+from conftest import DEMO_D4
+from test_rewrite_differential import TYPES, _corpus, reference_normalize
 
 from qaffpbw import affine
 from qaffpbw import modexpr as me
@@ -22,14 +23,6 @@ from qaffpbw.affine import NoProviderError, SigmaPoint, type_info
 from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One
 
 P = SigmaPoint
-
-
-@pytest.fixture
-def restored_tables():
-    saved = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(saved)
 
 
 def _memo(info, facts):

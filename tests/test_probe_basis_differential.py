@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import ASYMMETRIC_D4, DEMO_D4
 from test_affine import registered_names
 from test_invariants import lambda_inf_word
 
@@ -29,9 +30,6 @@ from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One, Verdict
 P = SigmaPoint
 PAIRS = 300
 
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
-# a one-way entry (no (4, 3)) with a negative zero
-ASYMMETRIC_D4 = {**DEMO_D4, (3, 4): [-1, 7]}
 # the D4^(1) denominators (Kang-Kashiwara-Kim-Oh), nodes 1 and 2 on the
 # chain, 3 and 4 the spin nodes
 KKKO_D4 = {
@@ -44,14 +42,6 @@ CASES = [(f"A{n}^1", None) for n in range(1, 9)] + [
     ("D4^1", DEMO_D4),
     ("D4^1", ASYMMETRIC_D4),
 ]
-
-
-@pytest.fixture
-def restored_tables():
-    saved = dict(affine._EXTERNAL_TABLES)
-    yield
-    affine._EXTERNAL_TABLES.clear()
-    affine._EXTERNAL_TABLES.update(saved)
 
 
 def rref(rows):

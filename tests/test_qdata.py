@@ -6,6 +6,7 @@ from qaffpbw import qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
 from qaffpbw.duality import from_q_datum
 from qaffpbw.qdata import QDatum, QDatumError, UnsupportedAutomorphismError
+from qaffpbw.rootsys import dynkin_edges
 
 A2 = type_info("A2^1")
 P = SigmaPoint
@@ -107,6 +108,48 @@ def test_dual_orbits_tile_sigma0():
                     if -span <= y.power <= span:
                         covered[y] = covered.get(y, 0) + 1
             assert all(covered.get(v, 0) == 1 for v in window), (n, heights)
+
+
+def reference_height_functions(type_letter, rank):
+    """The breadth-first enumeration that the one pass over the edges replaced."""
+    edges = dynkin_edges(type_letter, rank)
+    parent: dict[int, int] = {}
+    order = [1]
+    seen = {1}
+    while len(order) < rank:
+        for i, j in edges:
+            if i in seen and j not in seen:
+                parent[j] = i
+                order.append(j)
+                seen.add(j)
+            elif j in seen and i not in seen:
+                parent[i] = j
+                order.append(i)
+                seen.add(i)
+
+    def grow(assigned):
+        if len(assigned) == rank:
+            yield tuple(assigned[i] for i in range(1, rank + 1))
+            return
+        node = order[len(assigned)]
+        for sign in (-1, 1):
+            assigned[node] = assigned[parent[node]] + sign
+            yield from grow(assigned)
+        del assigned[node]
+
+    yield from grow({1: 0})
+
+
+@pytest.mark.parametrize(
+    "type_letter,rank",
+    [("A", n) for n in range(1, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_height_functions_match_the_breadth_first_reference(type_letter, rank):
+    heights = list(qdata.all_height_functions(type_letter, rank))
+    assert heights == list(reference_height_functions(type_letter, rank))
+    assert len(heights) == 2 ** (rank - 1)
 
 
 def test_all_height_functions_count():

@@ -21,6 +21,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from conftest import DEMO_D4, reference_is_dual_pair
 
 from qaffpbw import affine, invariants
 from qaffpbw import modexpr as me
@@ -31,7 +32,6 @@ P = SigmaPoint
 EXPRS_PER_TYPE = 2000
 TYPES = ("A2^1", "A3^1", "A4^1", "A6^1")
 SEEDS = (None, 1, 2)
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
 
 
 def reference_zero_order(info, i, j, exponent):
@@ -71,14 +71,6 @@ def reference_trace_canonical(info, factors):
         out.append(rest[best])
         del rest[best]
     return out
-
-
-def reference_is_dual_pair(info, first, second):
-    return (
-        isinstance(first, Fund)
-        and isinstance(second, Fund)
-        and dual_point(info, first.point, 1) == second.point
-    )
 
 
 def reference_rule_instances(info, factors, facts):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import DEMO_D4
 from test_invariants import lambda_inf_word
 
 from qaffpbw import affine, invariants, modexpr
@@ -21,7 +22,6 @@ from qaffpbw.modexpr import Dual, Fund, Head, One, Verdict
 
 P = SigmaPoint
 
-DEMO_D4 = {(1, 1): [2, 6], (1, 2): [3, 5], (2, 1): [3, 5], (2, 2): [2, 4, 6]}
 # extra tables: nodes reached through a negative and a one-way zero, a period
 # of 4 with node 2 reached only through d_{2,1}, and node 1 with no zero at
 # all (period 0, sigma0 = {(1, 0)})
