@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import rootsys
 from ._linalg import kernel_primitive
@@ -95,8 +95,9 @@ def _chain(lo: int, hi: int) -> list[Edge]:
     return [(i, i + 1, -1, -1) for i in range(lo, hi)]
 
 
-def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
-    """Edge data of the affine Dynkin diagram and the classical rank."""
+def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int, tuple[str, int]]:
+    """Edge data of the affine Dynkin diagram, the classical rank and the
+    finite type of the associated simply-laced root system."""
     if twist == 1 and letter in "ADE":
         # the finite diagram and alpha_0 = delta - theta, theta the highest
         # root: a_0j = a_j0 = -<theta, alpha_j> (Kac, Table Aff 1)
@@ -108,19 +109,20 @@ def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
         theta = rs.positive_roots()[-1]
         finite = [(i, j, -1, -1) for i, j in rootsys.dynkin_edges(letter, sub)]
         pairings = (sum(map(mul, theta, row)) for row in rs.cartan_matrix)
-        return finite + [(0, j, -c, -c) for j, c in enumerate(pairings, 1) if c], sub
+        node0 = [(0, j, -c, -c) for j, c in enumerate(pairings, 1) if c]
+        return finite + node0, sub, (letter, sub)
     if twist == 1:
         if letter == "B":
             if sub == 2:
                 # 0 => 2 <= 1, the short middle node is 2
-                return [(0, 2, -1, -2), (1, 2, -1, -2)], 2
+                return [(0, 2, -1, -2), (1, 2, -1, -2)], 2, ("A", 3)
             if sub < 2:
                 raise AffineTypeError("B_n^(1) needs n >= 2")
             return (
                 [(0, 2, -1, -1)]
                 + _chain(1, sub - 1)
                 + [(sub - 1, sub, -1, -2)]
-            ), sub
+            ), sub, ("A", 2 * sub - 1)
         if letter == "C":
             if sub < 3:
                 raise AffineTypeError("C_n^(1) needs n >= 3")
@@ -128,7 +130,7 @@ def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
                 [(0, 1, -1, -2)]
                 + _chain(1, sub - 1)
                 + [(sub - 1, sub, -2, -1)]
-            ), sub
+            ), sub, ("D", sub + 1)
         if letter == "F":
             if sub != 4:
                 raise AffineTypeError("F_4^(1) needs n = 4")
@@ -137,57 +139,40 @@ def _affine_edges(letter: str, twist: int, sub: int) -> tuple[list[Edge], int]:
                 (1, 2, -1, -1),
                 (2, 3, -1, -2),
                 (3, 4, -1, -1),
-            ], 4
+            ], 4, ("E", 6)
         if letter == "G":
             if sub != 2:
                 raise AffineTypeError("G_2^(1) needs n = 2")
             # Bourbaki G2: node 1 short, node 2 long; 0 attaches to the long node
-            return [(0, 2, -1, -1), (1, 2, -3, -1)], 2
-    if twist == 2:
-        if letter == "A" and sub % 2 == 0:
-            n = sub // 2
-            if n < 1:
-                raise AffineTypeError("A_2n^(2) needs n >= 1")
-            if n == 1:
-                return [(0, 1, -4, -1)], 1
-            return (
-                [(0, 1, -2, -1)]
-                + _chain(1, n - 1)
-                + [(n - 1, n, -2, -1)]
-            ), n
-        if letter == "A" and sub % 2 == 1:
-            n = (sub + 1) // 2
-            if n < 2:
-                raise AffineTypeError("A_{2n-1}^(2) needs n >= 2")
-            if n == 2:
-                # A_3^(2) with the middle node numbered 2
-                return [(0, 2, -2, -1), (2, 1, -1, -2)], 2
-            return (
-                [(0, 2, -1, -1)]
-                + _chain(1, n - 1)
-                + [(n - 1, n, -2, -1)]
-            ), n
-        if letter == "D":
-            n = sub - 1
-            if n < 3:
-                raise AffineTypeError("D_{n+1}^(2) needs n >= 3")
-            return (
-                [(0, 1, -2, -1)]
-                + _chain(1, n - 1)
-                + [(n - 1, n, -1, -2)]
-            ), n
-        if letter == "E":
-            if sub != 6:
-                raise AffineTypeError("E_6^(2) needs subscript 6")
-            return [
-                (0, 1, -1, -1),
-                (1, 2, -1, -1),
-                (2, 3, -2, -1),
-                (3, 4, -1, -1),
-            ], 4
+            return [(0, 2, -1, -1), (1, 2, -3, -1)], 2, ("D", 4)
+    if twist == 2 and letter == "A" and sub % 2 == 0:
+        n = sub // 2
+        if n < 1:
+            raise AffineTypeError("A_2n^(2) needs n >= 1")
+        if n == 1:
+            return [(0, 1, -4, -1)], 1, ("A", 2)
+        return (
+            [(0, 1, -2, -1)]
+            + _chain(1, n - 1)
+            + [(n - 1, n, -2, -1)]
+        ), n, ("A", sub)
+    if twist == 2 and letter in "ADE":
+        # A_{2n-1}^(2), D_{n+1}^(2) and E_6^(2) have the transposed Cartan
+        # matrices of B_n^(1), C_n^(1) and F_4^(1) and share their rank and
+        # simply-laced type (Kac, Tables Aff 1-2)
+        partner, n, need = {
+            "A": ("B", (sub + 1) // 2, "A_{2n-1}^(2) needs n >= 2"),
+            "D": ("C", sub - 1, "D_{n+1}^(2) needs n >= 3"),
+            "E": ("F", sub - 2, "E_6^(2) needs subscript 6"),
+        }[letter]
+        try:
+            edges, rank, fin = _affine_edges(partner, 1, n)
+        except AffineTypeError:
+            raise AffineTypeError(need) from None
+        return [(i, j, aji, aij) for i, j, aij, aji in edges], rank, fin
     if twist == 3:
         if letter == "D" and sub == 4:
-            return [(0, 1, -1, -1), (1, 2, -3, -1)], 2
+            return [(0, 1, -1, -1), (1, 2, -3, -1)], 2, ("D", 4)
         raise AffineTypeError("the only registered triple twist is D_4^(3)")
     raise AffineTypeError(f"unknown affine type {letter}{sub}^({twist})")
 
@@ -198,22 +183,6 @@ def _gcm(edges: list[Edge], size: int) -> list[list[int]]:
         mat[i][j] = aij
         mat[j][i] = aji
     return mat
-
-
-# finite type of the associated simply-laced root system, per affine family
-_FIN_TYPE: dict[tuple[str, int], Callable[[int], tuple[str, int]]] = {
-    ("A", 1): lambda n: ("A", n),
-    ("B", 1): lambda n: ("A", 2 * n - 1),
-    ("C", 1): lambda n: ("D", n + 1),
-    ("D", 1): lambda n: ("D", n),
-    ("E", 1): lambda n: ("E", n),
-    ("F", 1): lambda n: ("E", 6),
-    ("G", 1): lambda n: ("D", 4),
-    ("A", 2): lambda sub: ("A", sub),  # keyed on the subscript, not the rank
-    ("D", 2): lambda sub: ("D", sub),
-    ("E", 2): lambda sub: ("E", 6),
-    ("D", 3): lambda sub: ("D", 4),
-}
 
 
 @dataclass(frozen=True)
@@ -271,7 +240,7 @@ def _parse_name(name: str) -> tuple[str, int, int]:
         raise AffineTypeError(f"affine type {name!r} exceeds the rank limit {limit}") from None
 
 
-def _star_map(letter: str, twist: int, rank: int, sub: int) -> tuple[int, ...]:
+def _star_map(letter: str, twist: int, rank: int) -> tuple[int, ...]:
     if twist == 1 and letter in ("A", "D", "E"):
         rs = rootsys.RootSystem(letter, rank)
         return tuple(rs.star(i) for i in rs.nodes)
@@ -285,12 +254,11 @@ def type_info(name: str) -> AffineTypeInfo:
 
 @lru_cache(maxsize=None)  # keyed by the parsed name, so every spelling shares one info
 def _type_info(letter: str, sub: int, twist: int) -> AffineTypeInfo:
-    edges, rank = _affine_edges(letter, twist, sub)
+    edges, rank, fin = _affine_edges(letter, twist, sub)
     gcm = _gcm(edges, rank + 1)
     marks = kernel_primitive(gcm)  # right null vector: delta coefficients
     transposed = [list(col) for col in zip(*gcm)]
     comarks = kernel_primitive(transposed)  # left null vector: c coefficients
-    fin = _FIN_TYPE[(letter, twist)](sub if twist > 1 else rank)
     return AffineTypeInfo(
         name=f"{letter}{sub}^{twist}",
         letter=letter,
@@ -300,7 +268,7 @@ def _type_info(letter: str, sub: int, twist: int) -> AffineTypeInfo:
         fin_type=fin,
         marks_sum=sum(marks),
         comarks_sum=sum(comarks),
-        star_map=_star_map(letter, twist, rank, sub),
+        star_map=_star_map(letter, twist, rank),
     )
 
 

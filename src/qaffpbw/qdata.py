@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator
 
@@ -69,7 +70,7 @@ class QDatum:
                     f"heights at adjacent nodes {i},{j} must differ by 1"
                 )
 
-    @property
+    @cached_property
     def root_system(self) -> RootSystem:
         return RootSystem(self.type_letter, self.rank)
 

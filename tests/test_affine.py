@@ -8,6 +8,7 @@ from qaffpbw import affine
 from qaffpbw._linalg import kernel_primitive
 from qaffpbw.affine import (
     AffineTypeError,
+    AffineTypeInfo,
     NoProviderError,
     SigmaPoint,
     denom_zeros,
@@ -82,7 +83,7 @@ def test_highest_root_diagram_matches_the_hand_built_one(letter, subs):
     for sub in subs:
         edges, rank = reference_affine_edges(letter, sub)
         gcm = affine._gcm(edges, rank + 1)
-        new_edges, new_rank = affine._affine_edges(letter, 1, sub)
+        new_edges, new_rank, _ = affine._affine_edges(letter, 1, sub)
         assert (new_rank, affine._gcm(new_edges, rank + 1)) == (rank, gcm), sub
         info = type_info(f"{letter}{sub}^1")
         transposed = [list(col) for col in zip(*gcm)]
@@ -100,6 +101,96 @@ def test_too_small_or_unknown_ade_ranks_keep_their_texts(letter, sub):
     with pytest.raises(AffineTypeError) as err:
         type_info(f"{letter}{sub}^1")
     assert str(err.value) == str(expected.value)
+
+
+# finite type of the associated simply-laced root system, per affine family;
+# ``affine._affine_edges`` returns it with each family's diagram instead
+REFERENCE_FIN_TYPE = {
+    ("A", 1): lambda n: ("A", n),
+    ("B", 1): lambda n: ("A", 2 * n - 1),
+    ("C", 1): lambda n: ("D", n + 1),
+    ("D", 1): lambda n: ("D", n),
+    ("E", 1): lambda n: ("E", n),
+    ("F", 1): lambda n: ("E", 6),
+    ("G", 1): lambda n: ("D", 4),
+    ("A", 2): lambda sub: ("A", sub),  # keyed on the subscript, not the rank
+    ("D", 2): lambda sub: ("D", sub),
+    ("E", 2): lambda sub: ("E", 6),
+    ("D", 3): lambda sub: ("D", 4),
+}
+
+
+def reference_twisted_edges(letter: str, twist: int, sub: int) -> tuple[list, int]:
+    """The hand-written A_{2n-1}^(2), D_{n+1}^(2) and E_6^(2) diagrams that the
+    transposition rule of ``affine._affine_edges`` replaced; every other family
+    is read off ``affine._affine_edges``."""
+    if twist == 2 and letter == "A" and sub % 2 == 1:
+        n = (sub + 1) // 2
+        if n < 2:
+            raise AffineTypeError("A_{2n-1}^(2) needs n >= 2")
+        if n == 2:
+            # A_3^(2) with the middle node numbered 2
+            return [(0, 2, -2, -1), (2, 1, -1, -2)], 2
+        return (
+            [(0, 2, -1, -1)]
+            + affine._chain(1, n - 1)
+            + [(n - 1, n, -2, -1)]
+        ), n
+    if twist == 2 and letter == "D":
+        n = sub - 1
+        if n < 3:
+            raise AffineTypeError("D_{n+1}^(2) needs n >= 3")
+        return (
+            [(0, 1, -2, -1)]
+            + affine._chain(1, n - 1)
+            + [(n - 1, n, -1, -2)]
+        ), n
+    if twist == 2 and letter == "E":
+        if sub != 6:
+            raise AffineTypeError("E_6^(2) needs subscript 6")
+        return [
+            (0, 1, -1, -1),
+            (1, 2, -1, -1),
+            (2, 3, -2, -1),
+            (3, 4, -1, -1),
+        ], 4
+    edges, rank, _ = affine._affine_edges(letter, twist, sub)
+    return edges, rank
+
+
+@pytest.mark.parametrize("letter", "ABCDEFG")
+def test_twisted_diagrams_match_the_hand_written_ones(letter):
+    # every name outside untwisted A/D/E at twist 0-4 and subscript 0-65,
+    # built without the parser's rank cap and without the type_info cache
+    for twist in range(5):
+        for sub in range(66):
+            if twist == 1 and letter in "ADE":
+                continue
+            where = f"{letter}{sub}^{twist}"
+            try:
+                edges, rank = reference_twisted_edges(letter, twist, sub)
+            except AffineTypeError as expected:
+                with pytest.raises(AffineTypeError) as err:
+                    affine._type_info.__wrapped__(letter, sub, twist)
+                assert (type(err.value), str(err.value)) == (type(expected), str(expected)), where
+                continue
+            gcm = affine._gcm(edges, rank + 1)
+            new_edges, new_rank, _ = affine._affine_edges(letter, twist, sub)
+            assert new_rank == rank, where
+            assert affine._gcm(new_edges, rank + 1) == gcm, where
+            transposed = [list(col) for col in zip(*gcm)]
+            expected = AffineTypeInfo(
+                name=where,
+                letter=letter,
+                twist=twist,
+                subscript=sub,
+                rank=rank,
+                fin_type=REFERENCE_FIN_TYPE[(letter, twist)](sub if twist > 1 else rank),
+                marks_sum=sum(kernel_primitive(gcm)),
+                comarks_sum=sum(kernel_primitive(transposed)),
+                star_map=tuple(range(1, rank + 1)),
+            )
+            assert affine._type_info.__wrapped__(letter, sub, twist) == expected, where
 
 
 def test_type_name_past_the_int_digit_limit_is_a_type_error():

@@ -22,6 +22,7 @@ Q_D_MAX = json.dumps({"xi": {str(i): min(i, MAX_RANK - 1) % 2 for i in range(1, 
 DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
 MISMATCHED_DENOMS = '{"type":"E8^1","zeros":{"1,1":[2]}}'  # not the --type of any call
 PROVENANCE = DATUM_A2[:-1] + ',"provenance":%s}'
+MEMBER_1 = '{"affine":"A2^1","members":{"1":%s,"2":{"fund":[1,2]}}}'
 
 
 def invoke(capsys, *argv):
@@ -366,6 +367,36 @@ def test_domain_error_exit_code(capsys):
         (
             ("datum-from-q", "--type", "A" + "9" * 5000 + "^1", "--q", Q_A2),
             "--type: affine type 'A9999",
+        ),
+        (
+            ("check-strong", "--type", "A2^1", "--datum", MEMBER_1 % '{"dual":3}'),
+            "'dual' must be an object with 'k' and 'of', got 3",
+        ),
+        (
+            ("check-strong", "--type", "A2^1", "--datum", MEMBER_1 % '{"head":3}'),
+            "'head' must be a list of factors, got 3",
+        ),
+        (
+            ("check-strong", "--type", "A2^1", "--datum", MEMBER_1 % "{}"),
+            "not an expression document: {}",
+        ),
+        (
+            (
+                "check-strong", "--type", "A2^1", "--datum",
+                '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"3":{"fund":[1,2]}}}',
+            ),
+            "datum field 'members' has no member 2",
+        ),
+        (
+            ("phi", "--type", "A2^1", "--q", '{"xi":{"1":0,"2":1},"automorphism":"x"}'),
+            "Q-datum field 'automorphism' must be a list, got 'x'",
+        ),
+        (
+            (
+                "sigma-quiver", "--type", "D4^1", "--denoms",
+                '{"type":"D4^1","zeros":{"1,5":[2]}}', "--window", "0..3",
+            ),
+            "node pair (1, 5) out of range for D4^1",
         ),
     ],
 )

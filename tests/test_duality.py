@@ -70,6 +70,11 @@ def test_classify_cartan():
     assert duality.classify_cartan(cartan("A", 5)) == (("A", 5),)
     assert duality.classify_cartan(cartan("D", 6)) == (("D", 6),)
     assert duality.classify_cartan(cartan("E", 7)) == (("E", 7),)
+    e8 = cartan("E", 8)
+    order = (5, 2, 7, 0, 3, 6, 1, 4)
+    shuffled = tuple(tuple(e8[i][j] for j in order) for i in order)
+    for matrix in (e8, shuffled):
+        assert duality.classify_cartan(matrix) == (("E", 8),)
     block = ((2, 0), (0, 2))
     assert duality.classify_cartan(block) == (("A", 1), ("A", 1))
 

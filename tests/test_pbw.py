@@ -32,6 +32,8 @@ def test_l_r_of():
     assert b.l_of() == b.r_of() == -3
     with pytest.raises(ValueError):
         V({}).l_of()
+    with pytest.raises(ValueError, match="the zero vector has no support"):
+        ExpVec(()).r_of()
 
 
 def test_getitem_reads_an_entry_or_zero():

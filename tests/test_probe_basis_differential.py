@@ -234,7 +234,7 @@ def test_pivot_columns_match_rref():
 
 def _affine_cartan(name):
     letter, sub, twist = affine._parse_name(name)
-    edges, rank = affine._affine_edges(letter, twist, sub)
+    edges, rank, _ = affine._affine_edges(letter, twist, sub)
     return affine._gcm(edges, rank + 1)
 
 

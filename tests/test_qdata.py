@@ -22,6 +22,10 @@ def test_validate():
         QDatum("A", 2, (0, 2))
     with pytest.raises(UnsupportedAutomorphismError):
         QDatum("A", 2, (0, 1), automorphism=(2, 1))
+    with pytest.raises(QDatumError, match="height function must assign every node"):
+        QDatum("A", 3, (0, 1))
+    with pytest.raises(QDatumError, match="Q-datum JSON must be an object"):
+        qdata.qdatum_from_json("[]")
 
 
 def test_is_adapted_examples():

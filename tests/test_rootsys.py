@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qaffpbw.rootsys import RootSystem, RootSystemError, cartan
+from qaffpbw.rootsys import RootSystem, RootSystemError, cartan, dynkin_edges
 
 
 def test_cartan_a2():
@@ -64,6 +64,19 @@ def test_reflect_rejects_unknown_node():
         rs.reflect(0, (1, 0, 0))
     with pytest.raises(RootSystemError):
         rs.length((0,))
+
+
+def test_out_of_range_nodes_indices_and_ranks_are_refused():
+    rs = RootSystem("A", 3)
+    w0 = rs.longest_word()
+    with pytest.raises(RootSystemError, match="node 4 out of range for rank 3"):
+        rs.simple_root(4)
+    with pytest.raises(RootSystemError, match="node 0 out of range for rank 3"):
+        rs.star(0)
+    with pytest.raises(RootSystemError, match="index 7 out of range"):
+        rs.minimal_pairs(w0, 7)
+    with pytest.raises(RootSystemError, match="rank 65 exceeds the limit 64"):
+        dynkin_edges("A", 65)
 
 
 def test_star_by_brute_force():
