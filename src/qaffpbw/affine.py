@@ -321,9 +321,9 @@ def _zeros(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ..
     if zeros is None:
         span = range(1, info.rank + 1)
         table = _EXTERNAL_TABLES.get(info.name)
-        if info.letter == "A" and info.twist == 1:
+        if table is None and info.letter == "A" and info.twist == 1:
             table = {(i, j): _a_type_zeros(info.rank, i, j) for i in span for j in span}
-        elif table is None:
+        if table is None:
             raise NoProviderError(f"{info.name}: no denominator table registered")
         zeros = memo["zeros"] = ((),) + tuple(
             ((),) + tuple(table.get((i, j), ()) for j in span) for i in span

@@ -12,10 +12,6 @@ the window the sequence extends by the dual-shift law S_{k+l} = D(S_k).
 ``CuspidalSeq`` is the one sequence class: it owns the memo, the dual-shift
 extension, ``range``, ``label`` and ``index_of``.  ``FundamentalCuspidalSeq``
 only supplies S_1..S_l, read off the label map of a Q-datum.
-
-``verify_cuspidal_axioms`` writes no check of its own: the member labels,
-the root-module verdict and the roll-up come from ``duality``, and strong
-unmixedness from ``invariants.mixing_shift``.
 """
 
 from __future__ import annotations
@@ -23,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 
 from . import duality as duality_mod
-from . import invariants, modexpr, qdata
-from .affine import SigmaPoint, denom_zeros, dual_point
+from . import modexpr, qdata
+from .affine import SigmaPoint, dual_point
 from .duality import DualityDatum, DualityError
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .rootsys import RootSystem, RootSystemError, Word
@@ -32,7 +28,6 @@ from .rootsys import RootSystem, RootSystemError, Word
 __all__ = [
     "CuspidalSeq",
     "FundamentalCuspidalSeq",
-    "verify_cuspidal_axioms",
     "refl_shift_check",
 ]
 
@@ -207,36 +202,6 @@ class FundamentalCuspidalSeq(CuspidalSeq):
             raise DualityError(f"word {word} is not adapted to the Q-datum") from None
         for k, beta in enumerate(self.rs.beta_sequence(self.word), start=1):
             self._memo[k] = Fund(mapping[beta])
-
-
-def verify_cuspidal_axioms(seq, lo: int, hi: int) -> dict:
-    """Exhaustive label checks on a window: strong unmixedness for a > b,
-    the root-module pattern, and denominator nonvanishing down the order."""
-    info = seq.info
-    points = {k: duality_mod.fund_point(seq.materialize(k)) for k in range(lo, hi + 1)}
-    report = {
-        "window": (lo, hi),
-        "root_module": {k: duality_mod.root_verdict(info, x) for k, x in points.items()},
-        "strongly_unmixed": {},
-        "denominator_nonvanishing": {},
-    }
-    for a in range(lo, hi + 1):
-        for b in range(lo, a):
-            x, y = points[a], points[b]
-            if x is None or y is None:
-                report["strongly_unmixed"][(a, b)] = "unknown"
-                continue
-            m = invariants.mixing_shift(info, x, y)
-            report["strongly_unmixed"][(a, b)] = "ok" if m is None else f"fail(m={m})"
-            vanishes = y.power - x.power in denom_zeros(info, x.node, y.node)
-            report["denominator_nonvanishing"][(a, b)] = (
-                "fail" if vanishes else "ok"
-            )
-    report["overall"] = duality_mod.roll_up(
-        v for key in ("root_module", "strongly_unmixed", "denominator_nonvanishing")
-        for v in report[key].values()
-    )
-    return report
 
 
 def refl_shift_check(

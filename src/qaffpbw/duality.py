@@ -92,7 +92,8 @@ def root_verdict(info: AffineTypeInfo, x: SigmaPoint | None) -> str:
     """The root-module check of one member: ok, fail, or unknown (compound)."""
     if x is None:
         return "unknown"
-    return "ok" if invariants.is_root_module_pattern(info, x) else "fail"
+    # d(x, D^k x) = delta(k = +-1) over every dual shift k
+    return "ok" if invariants.shift_profile(info, x, x) == {-1: 1, 1: 1} else "fail"
 
 
 def roll_up(verdicts) -> str:

@@ -162,8 +162,3 @@ def mixing_shift(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int | No
     (x, y) is strongly unmixed."""
     # d(D^m x, y) = d(y, D^m x) since d is symmetric
     return min((m for m in shift_profile(info, y, x) if m > 0), default=None)
-
-
-def is_root_module_pattern(info: AffineTypeInfo, x: SigmaPoint) -> bool:
-    """Check d(x, D^k x) = delta(k = +-1) over every dual shift k."""
-    return shift_profile(info, x, x) == {-1: 1, 1: 1}

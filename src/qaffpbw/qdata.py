@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 from . import rootsys
 from .affine import SigmaPoint, json_int
-from .rootsys import MAX_ENUMERATION_RANK, Root, RootSystem, Word, dynkin_edges
+from .rootsys import Root, RootSystem, Word, dynkin_edges
 
 __all__ = [
     "QDatum",
@@ -38,6 +38,10 @@ __all__ = [
     "qdatum_from_json",
     "all_height_functions",
 ]
+
+# Enumerating every adapted word explodes combinatorially with the rank, as
+# the reduced words of w0 do (D_5 already has millions); keep it guarded.
+MAX_ENUMERATION_RANK = 4
 
 
 class QDatumError(ValueError):

@@ -18,10 +18,10 @@ updated by
     (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
 
 The word is reduced exactly when every beta_k = w_{k-1}(alpha_{i_k}) is
-positive.  ``length`` counts inversions instead, independently of it.  The
-star involution, w0(alpha_i) = -alpha_{i*}, is read off the last images of
-the greedy walk to w0.  One depth-first search over the reduced words of w0
-serves the enumeration here and, with a rule on letters, ``qdata``.
+positive.  The star involution, w0(alpha_i) = -alpha_{i*}, is read off the
+last images of the greedy walk to w0.  One depth-first search over the
+reduced words of w0, with a rule on letters, is the adapted-word search of
+``qdata``.
 
 Inside the walks a root is one int, the sum of c_j * 256**j over its
 coefficients c_j (signed digits, 8 bits each).  Every coefficient of an ADE
@@ -37,10 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
-
-# Enumerating every reduced word of w0 explodes combinatorially; D_5 already
-# has millions.  Keep exhaustive enumeration usable but guarded.
-MAX_ENUMERATION_RANK = 4
 
 # Largest rank accepted, so that an oversized request fails at once: the cost
 # grows with the number of positive roots, and ``roots --fin A200`` took 75 s.
@@ -137,16 +133,6 @@ def _step(steps, images: list[int], i: int) -> None:
         images[j] -= a * wi
 
 
-def _reflect(row: tuple[int, ...], i: int, v: Root) -> Root:
-    # s_i(v) = v - <alpha_i^vee, v> alpha_i, with row = row i of the Cartan matrix
-    pairing = sum(a * x for a, x in zip(row, v))
-    return tuple(x - pairing if j == i - 1 else x for j, x in enumerate(v))
-
-
-def _is_positive(v: Root) -> bool:
-    return any(x > 0 for x in v) and all(x >= 0 for x in v)
-
-
 @lru_cache(maxsize=None)
 def _root_data(type_letter: str, rank: int) -> _RootData:
     mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -214,7 +200,7 @@ def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
 
 
 def _reduced_words(
-    type_letter: str, rank: int, allowed: Callable[[int, list[int]], bool] | None = None
+    type_letter: str, rank: int, allowed: Callable[[int, list[int]], bool]
 ) -> Iterator[Word]:
     """The reduced words of w0 whose every letter i passes allowed(i, counts),
     counts[j - 1] being the number of letters j before i, depth first in node
@@ -231,7 +217,7 @@ def _reduced_words(
             yield tuple(word)
         for i in range(first, rank + 1):
             # appending s_i keeps the word reduced exactly when w(alpha_i) > 0
-            if images[i - 1] > 0 and (allowed is None or allowed(i, counts)):
+            if images[i - 1] > 0 and allowed(i, counts):
                 word.append(i)
                 counts[i - 1] += 1
                 _step(steps, images, i)
@@ -269,38 +255,14 @@ class RootSystem:
             raise RootSystemError(f"node {i} out of range for rank {self.rank}")
         return _root_data(self.type_letter, self.rank).simple[i - 1]
 
-    def reflect(self, i: int, v: Root) -> Root:
-        """Simple reflection s_i acting on a root-lattice vector."""
-        if i not in self.nodes:
-            raise RootSystemError(f"node {i} out of range for rank {self.rank}")
-        return _reflect(_root_data(self.type_letter, self.rank).cartan[i - 1], i, v)
-
-    def act(self, word: Word, v: Root) -> Root:
-        """Apply s_{i_1} ... s_{i_m} to v (leftmost letter acts last)."""
-        for i in reversed(word):
-            v = self.reflect(i, v)
-        return v
-
     def positive_roots(self) -> tuple[Root, ...]:
         return _root_data(self.type_letter, self.rank).positive
-
-    def is_positive(self, v: Root) -> bool:
-        return _is_positive(v)
-
-    def length(self, word: Word) -> int:
-        """Coxeter length of the product, counted through inversions."""
-        return sum(
-            1 for beta in self.positive_roots() if not self.is_positive(self.act(word, beta))
-        )
 
     def _analysis(self, word: Word) -> _WordData:
         return _word_data(self.type_letter, self.rank, tuple(word))
 
     def is_reduced(self, word: Word) -> bool:
         return self._analysis(word).reduced
-
-    def number_of_positive_roots(self) -> int:
-        return len(self.positive_roots())
 
     def beta_sequence(self, word: Word) -> tuple[Root, ...]:
         """The roots s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) for k = 1..m.
@@ -315,7 +277,7 @@ class RootSystem:
 
     def spells_longest(self, word: Word) -> bool:
         analysis = self._analysis(word)
-        return analysis.reduced and len(analysis.betas) == self.number_of_positive_roots()
+        return analysis.reduced and len(analysis.betas) == len(self.positive_roots())
 
     def longest_word(self) -> Word:
         """A canonical reduced word of w0 (greedy, smallest descent first)."""
@@ -347,11 +309,3 @@ class RootSystem:
         if not 1 <= k <= len(betas):
             raise RootSystemError(f"index {k} out of range")
         return self._analysis(word).pairs[k - 1]
-
-    def reduced_words_of_longest(self) -> Iterator[Word]:
-        """All reduced words of w0.  Guarded: rank must be <= 4."""
-        if self.rank > MAX_ENUMERATION_RANK:
-            raise RootSystemError(
-                f"enumeration of reduced words is limited to rank <= {MAX_ENUMERATION_RANK}"
-            )
-        yield from _reduced_words(self.type_letter, self.rank)

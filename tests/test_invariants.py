@@ -6,6 +6,7 @@ import pytest
 
 from qaffpbw import invariants as inv
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
+from qaffpbw.duality import root_verdict
 
 A2 = type_info("A2^1")
 P = SigmaPoint
@@ -129,7 +130,7 @@ def test_root_module_pattern_randomized():
     for n in (1, 2, 3, 4):
         info = type_info(f"A{n}^1")
         for x in _random_points(info, rng, 40, 12):
-            assert inv.is_root_module_pattern(info, x)
+            assert root_verdict(info, x) == "ok"
 
 
 def test_between_expressions_exactness_flags():

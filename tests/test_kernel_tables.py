@@ -164,6 +164,20 @@ def test_a_replaced_or_popped_table_replaces_the_rows(restored_tables):
             call()
 
 
+def test_a_registered_a_type_table_wins_over_the_closed_form(restored_tables):
+    # the closed form gives d_11 of A2^1 the zero 2; the registered table
+    # gives it the zero 5 instead, and is read as long as it is registered
+    info = type_info("A2^1")
+    assert invariants.d_fund(info, P(1, 0), P(1, 5)) == 0
+    affine.load_denominator_json('{"type":"A2^1","zeros":{"1,1":[5]}}')
+    _assert_table(info, lambda i, j: (5,) if (i, j) == (1, 1) else ())
+    assert invariants.d_fund(info, P(1, 0), P(1, 5)) == 1
+    affine._EXTERNAL_TABLES.pop("A2^1")
+    assert affine._derived(info) == {}
+    _assert_table(info, lambda i, j: reference_a_zeros(2, i, j))
+    assert invariants.d_fund(info, P(1, 0), P(1, 5)) == 0
+
+
 # ---------------------------------------------------------------------------
 # readers of the table against the code they replaced
 

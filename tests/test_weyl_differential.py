@@ -2,18 +2,19 @@
 
 ``is_reduced``, ``beta_sequence`` and ``minimal_pairs`` read one
 incremental pass over each word, and ``star`` the last images of the greedy
-walk to w0.  Here each is checked against its definition, computed with
-``RootSystem.act`` prefix by prefix: the inversion count ``length``, the
+walk to w0.  Here each is checked against its definition, computed with the
+tuple Weyl group of ``conftest`` (``act``) prefix by prefix: the inversion count ``length``, the
 prefix images of the simple roots, the O(l^2) scan over all pairs and the
 full action of w0.  The words are every reduced word of w0 at rank <= 3,
 the greedy word of w0 and seeded random words (reduced or not, of w0 or
 shorter).  The reference searches grow the images of the simple roots on
 tuples from the Cartan matrix, not on the packed ints of ``rootsys``.
 
-``data/l0_frozen.json`` holds ``longest_word``, the first 50
-``reduced_words_of_longest`` and ``some_adapted_word`` on every height
-function as the implementation before the word analysis gave them, computed
-by ``frozen_outputs`` below on that implementation.
+``data/l0_frozen.json`` holds ``longest_word``, the first 50 reduced words
+of w0 (now ``conftest.reduced_words_of_longest``, the search of ``qdata``
+with no rule on letters) and ``some_adapted_word`` on every height function
+as the implementation before the word analysis gave them, computed by
+``frozen_outputs`` below on that implementation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from conftest import act, is_positive, length, reduced_words_of_longest
 
 from qaffpbw import qdata, rootsys
 from qaffpbw.rootsys import RootSystem, RootSystemError, _unpack, dynkin_edges
@@ -53,7 +55,7 @@ def pack(v) -> int:
 
 
 def reference_betas(rs: RootSystem, word) -> tuple:
-    return tuple(rs.act(word[:k], rs.simple_root(word[k])) for k in range(len(word)))
+    return tuple(act(rs, word[:k], rs.simple_root(word[k])) for k in range(len(word)))
 
 
 def reference_minimal_pairs(betas) -> list[tuple]:
@@ -75,14 +77,14 @@ def random_words(rs: RootSystem, seed: str, count: int = RANDOM_WORDS) -> list[t
     """Words grown by random ascents, half of them with one random letter
     inserted; a third run to the length of w0."""
     rng = random.Random(seed)
-    ell = rs.number_of_positive_roots()
+    ell = len(rs.positive_roots())
     words = []
     for n in range(count):
         target = ell if n % 3 == 0 else rng.randint(0, ell)
         word: tuple[int, ...] = ()
         images = tuple(rs.simple_root(i) for i in rs.nodes)
         while len(word) < target:
-            i = rng.choice([i for i in rs.nodes if rs.is_positive(images[i - 1])])
+            i = rng.choice([i for i in rs.nodes if is_positive(images[i - 1])])
             word, images = word + (i,), extend_images(rs, images, i)
         if n % 2:
             at = rng.randint(0, len(word))
@@ -95,14 +97,14 @@ def words_of(type_letter: str, rank: int) -> list[tuple[int, ...]]:
     rs = RootSystem(type_letter, rank)
     words = [rs.longest_word()]
     if rank <= 3:
-        words += list(rs.reduced_words_of_longest())
+        words += list(reduced_words_of_longest(rs))
     return words + random_words(rs, f"{type_letter}{rank}")
 
 
 def check_word(rs: RootSystem, word) -> bool:
-    reduced = rs.length(word) == len(word)
+    reduced = length(rs, word) == len(word)
     assert rs.is_reduced(word) is reduced, word
-    assert rs.spells_longest(word) is (reduced and len(word) == rs.number_of_positive_roots())
+    assert rs.spells_longest(word) is (reduced and len(word) == len(rs.positive_roots()))
     if not reduced:
         with pytest.raises(RootSystemError):
             rs.beta_sequence(word)
@@ -144,7 +146,7 @@ def test_packing_of_e8_roots_and_their_differences():
     negative = [tuple(-x for x in r) for r in positive]
     for root in positive + tuple(negative):
         assert _unpack(pack(root), 8) == root
-        assert (pack(root) > 0) is rs.is_positive(root)
+        assert (pack(root) > 0) is is_positive(root)
     assert max(max(r) for r in positive) == 6
     for r in positive:
         for s in positive:
@@ -157,7 +159,7 @@ def test_packing_of_e8_roots_and_their_differences():
 def reference_adapted_words(q: qdata.QDatum) -> list[tuple[int, ...]]:
     """Every adapted word, by recursion over the tuple images of RootSystem."""
     rs = q.root_system
-    ell = rs.number_of_positive_roots()
+    ell = len(rs.positive_roots())
     adj = {i: set() for i in rs.nodes}
     for i, j in dynkin_edges(q.type_letter, q.rank):
         adj[i].add(j)
@@ -169,7 +171,7 @@ def reference_adapted_words(q: qdata.QDatum) -> list[tuple[int, ...]]:
             out.append(word)
         for i in rs.nodes:
             minimum = all(heights[i - 1] < heights[j - 1] for j in adj[i])
-            if minimum and rs.is_positive(images[i - 1]):
+            if minimum and is_positive(images[i - 1]):
                 raised = heights[:i - 1] + (heights[i - 1] + 2,) + heights[i:]
                 grow(word + (i,), raised, extend_images(rs, images, i))
 
@@ -189,7 +191,7 @@ def test_star_matches_the_action_of_w0(type_letter, rank):
     rs = RootSystem(type_letter, rank)
     w0 = rs.longest_word()
     for i in rs.nodes:
-        image = rs.act(w0, rs.simple_root(i))
+        image = act(rs, w0, rs.simple_root(i))
         assert tuple(-x for x in image) == rs.simple_root(rs.star(i))
 
 
@@ -209,7 +211,7 @@ def frozen_outputs() -> dict:
         rs = RootSystem(type_letter, rank)
         out["longest_word"][f"{type_letter}{rank}"] = list(rs.longest_word())
     for type_letter, rank in [("A", 3), ("A", 4), ("D", 4)]:
-        words = islice(RootSystem(type_letter, rank).reduced_words_of_longest(), 50)
+        words = islice(reduced_words_of_longest(RootSystem(type_letter, rank)), 50)
         out["reduced_words_of_longest"][f"{type_letter}{rank}"] = [list(w) for w in words]
     for type_letter, rank in [("A", 4), ("D", 4)]:
         out["some_adapted_word"][f"{type_letter}{rank}"] = {
