@@ -313,10 +313,7 @@ def denom_zeros(info: AffineTypeInfo, i: int, j: int) -> tuple[int, ...]:
 def _zeros(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The type's dense table ``zeros[i][j]`` (row and column 0 empty), kept in
     ``_derived``; the given nodes are checked first, in order, then the provider."""
-    for node in nodes:
-        if not 1 <= node <= info.rank:
-            raise AffineTypeError(f"node {node} out of range for {info.name}")
-    memo = _derived(info)
+    memo = _checked_memo(info, nodes)
     zeros = memo.get("zeros")
     if zeros is None:
         span = range(1, info.rank + 1)
@@ -331,6 +328,29 @@ def _zeros(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ..
     return zeros
 
 
+def _offsets(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The type's d-support rows ``offsets[i][j] = zeros[i][j] + (-m for m in
+    zeros[j][i])`` (row and column 0 empty), so d(V(i)_p, V(j)_{p+g}) is
+    ``offsets[i][j].count(g)``; kept in ``_derived`` and checked as ``_zeros`` is."""
+    memo = _checked_memo(info, nodes)
+    offsets = memo.get("offsets")
+    if offsets is None:
+        zeros = _zeros(info)
+        span = range(1, info.rank + 1)
+        offsets = memo["offsets"] = ((),) + tuple(
+            ((),) + tuple(zeros[i][j] + tuple(-m for m in zeros[j][i]) for j in span)
+            for i in span
+        )
+    return offsets
+
+
+def _checked_memo(info: AffineTypeInfo, nodes) -> dict:
+    for node in nodes:
+        if not 1 <= node <= info.rank:
+            raise AffineTypeError(f"node {node} out of range for {info.name}")
+    return _derived(info)
+
+
 _DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
 
 
@@ -338,6 +358,7 @@ def _derived(info: AffineTypeInfo) -> dict:
     """The memo of values derived from a type's zeros.
 
     A key names its value: ``"zeros"`` for the dense table of ``_zeros``,
+    ``"offsets"`` for the d-support rows of ``_offsets``,
     ``"sigma0"`` for ``_sigma0_lattice``,
     ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
     ``"probe_basis"`` for ``modexpr._probe_basis``,

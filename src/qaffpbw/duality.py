@@ -14,7 +14,8 @@ Each label check is written once here, and ``cuspidal`` reads the same ones:
 ``fund_point`` maps a member to its label (None when compound),
 ``root_verdict`` grades the root-module pattern, ``_cartan_of`` builds the
 induced matrix from -d and validates it with ``classify_cartan``, the one
-finite-type rule, and ``roll_up`` folds verdicts into pass, fail or unknown.
+finite-type rule, ``check_strong`` reads every d(R_i, D^k R_j) off one
+sweep, and ``roll_up`` folds verdicts into pass, fail or unknown.
 ``_strength`` is the one strength rule: pass gives verified; from a verified
 or inherited parent, unknown gives inherited and fail raises; anything else
 gives unknown.
@@ -92,8 +93,12 @@ def root_verdict(info: AffineTypeInfo, x: SigmaPoint | None) -> str:
     """The root-module check of one member: ok, fail, or unknown (compound)."""
     if x is None:
         return "unknown"
+    return _root_grade(invariants.shift_profile(info, x, x))
+
+
+def _root_grade(profile: dict[int, int]) -> str:
     # d(x, D^k x) = delta(k = +-1) over every dual shift k
-    return "ok" if invariants.shift_profile(info, x, x) == {-1: 1, 1: 1} else "fail"
+    return "ok" if profile == {-1: 1, 1: 1} else "fail"
 
 
 def roll_up(verdicts) -> str:
@@ -105,26 +110,34 @@ def roll_up(verdicts) -> str:
 
 
 def check_strong(datum: DualityDatum) -> StrongReport:
-    """Exhaustive label-level verification of the strong-datum axioms."""
+    """Exhaustive label-level verification of the strong-datum axioms.
+
+    One sweep (``invariants.shift_profiles``) gives every profile
+    d(R_i, D^k R_j); the root verdicts read the diagonal, the pair verdicts
+    the rest, and the induced matrix their k = 0 entries."""
     info = datum.info
     points = [fund_point(m) for m in datum.members]
-    root_verdicts = [(i, root_verdict(info, x)) for i, x in enumerate(points, start=1)]
+    profiles = invariants.shift_profiles(info, points)
+    root_verdicts = [
+        (i, "unknown" if x is None else _root_grade(profiles[i - 1][i - 1]))
+        for i, x in enumerate(points, start=1)
+    ]
     pair_verdicts = []
-    for i, x in enumerate(points, start=1):
-        for j, y in enumerate(points, start=1):
+    for i, row in enumerate(profiles, start=1):
+        for j, profile in enumerate(row, start=1):
             if i == j:
                 continue
-            if x is None or y is None:
+            if profile is None:
                 pair_verdicts.append(((i, j), "unknown"))
                 continue
-            bad = min((k for k in invariants.shift_profile(info, x, y) if k != 0), default=None)
+            bad = min((k for k in profile if k != 0), default=None)
             pair_verdicts.append(((i, j), "ok" if bad is None else f"fail(k={bad})"))
 
     verdicts = [v for _, v in pair_verdicts] + [v for _, v in root_verdicts]
     cartan = None
     if all(v != "unknown" for _, v in pair_verdicts):  # every pairing is exact
         try:
-            cartan = _cartan_of(info, points)
+            cartan = _cartan_of(len(points), lambda a, b: profiles[a][b].get(0, 0))
         except DualityError:
             verdicts.append("fail")
     return StrongReport(
@@ -135,19 +148,14 @@ def check_strong(datum: DualityDatum) -> StrongReport:
     )
 
 
-def _cartan_of(info: AffineTypeInfo, points) -> tuple[tuple[int, ...], ...]:
-    """The matrix with off-diagonal -d(R_i, R_j), validated as a simply-laced
-    finite Cartan matrix; d is symmetric, so the matrix is.  From two
-    members on every member is paired, so a compound one is refused."""
-    n = len(points)
-    if n > 1 and None in points:
-        raise DualityError(
-            "pairwise d is not exact for compound members; no cached matrix"
-        )
+def _cartan_of(n: int, d) -> tuple[tuple[int, ...], ...]:
+    """The n x n matrix with off-diagonal -d(a, b) (0-based members, a < b),
+    validated as a simply-laced finite Cartan matrix; d is symmetric, so the
+    matrix is."""
     matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            c = -invariants.d_fund(info, points[i], points[j])
+            c = -d(i, j)
             if c not in (0, -1):
                 raise DualityError(f"induced pairing {c} at {(i + 1, j + 1)} is not simply laced")
             matrix[i][j] = matrix[j][i] = c
@@ -159,10 +167,18 @@ def _cartan_of(info: AffineTypeInfo, points) -> tuple[tuple[int, ...], ...]:
 
 
 def induced_cartan(datum: DualityDatum) -> tuple[tuple[int, ...], ...]:
-    """Matrix with off-diagonal -d(R_i, R_j); needs exact pairwise values."""
+    """Matrix with off-diagonal -d(R_i, R_j); needs exact pairwise values, so
+    from two members on a compound member is refused."""
     if datum.cartan is not None:
         return datum.cartan
-    return _cartan_of(datum.info, [fund_point(m) for m in datum.members])
+    points = [fund_point(m) for m in datum.members]
+    if len(points) > 1 and None in points:
+        raise DualityError(
+            "pairwise d is not exact for compound members; no cached matrix"
+        )
+    return _cartan_of(
+        len(points), lambda a, b: invariants.d_fund(datum.info, points[a], points[b])
+    )
 
 
 def classify_cartan(matrix) -> tuple[tuple[str, int], ...]:

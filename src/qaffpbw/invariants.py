@@ -19,12 +19,16 @@ so Lambda = zero_c + de_tilde and Lambda8 = zero_c - de_tilde.  The ordered
 pair (x, y) is strongly unmixed when d(D^m x, y) = 0 for every m > 0, which
 ``mixing_shift`` decides.
 
-All sums are finite because the zero multisets are.  ``shift_profile`` reads
-the k with d(x, D^k y) != 0 straight off the zeros: D^k y sits at node y or
-y* and exponent p_y + k h, so a zero m of d_{i,n} (n in {y, y*}) pins
-k = (m + p_x - p_y) / h and a zero m of d_{n,i} pins k = (p_x - p_y - m) / h;
-k counts when the division is exact and D^k y, at y* for odd k and y for
-even k, lands on node n.  The zeros are rows of the dense ``affine._zeros``.
+All sums are finite because the zero multisets are.  Both terms of d are
+read off one row of ``affine._offsets``: offsets[i][j] lists the zeros of
+d_{i,j} and the negated zeros of d_{j,i}, so d(x, y) counts p_y - p_x in
+offsets[x][y].  D^k y sits at node y for even k and y* for odd k, at
+exponent p_y + k h, so a label (n, q) is some D^k y exactly when
+(n, q mod 2h) is (y, p_y) or (y*, p_y + h) mod 2h, and then
+k = (q - p_y) / h: ``_orbit_keys`` writes this rule once.  ``_walk`` reads
+every label x + offset of x's rows off an index of such keys, which gives
+``shift_profile`` (one y, the rows y and y*) and ``shift_profiles`` (every
+ordered pair of a family, each label's rows walked once).
 
 Two facts hold for any zero table, registered ones included:
 
@@ -48,6 +52,7 @@ from .rootsys import cartan
 __all__ = [
     "d_fund",
     "shift_profile",
+    "shift_profiles",
     "lambda_fund",
     "lambda_inf_fund",
     "de_tilde_fund",
@@ -60,9 +65,28 @@ __all__ = [
 def d_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     """The invariant d between two fundamental labels (symmetric, >= 0)."""
     i, j = x.node, y.node
-    zeros = affine._zeros(info, i, j)
-    gap = y.power - x.power
-    return zeros[i][j].count(gap) + zeros[j][i].count(-gap)
+    return affine._offsets(info, i, j)[i][j].count(y.power - x.power)
+
+
+def _orbit_keys(
+    info: AffineTypeInfo, y: SigmaPoint, h: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(node, exponent mod 2h) of D^k y for even k, then for odd k; checks y's node."""
+    return (y.node, y.power % (2 * h)), (info.star(y.node), (y.power + h) % (2 * h))
+
+
+def _walk(row, nodes, p: int, h: int, index, out) -> None:
+    """Add d(x, D^k y) to ``out[slot][k]`` for each ``(slot, p_y)`` that
+    ``index`` files under an orbit key of y, x being at exponent p with
+    offsets ``row``; only the rows of ``nodes`` are read."""
+    two_h = 2 * h
+    for n in nodes:
+        for offset in row[n]:
+            q = p + offset
+            for slot, p_y in index.get((n, q % two_h), ()):
+                profile = out[slot]
+                k = (q - p_y) // h
+                profile[k] = profile.get(k, 0) + 1
 
 
 def shift_profile(
@@ -72,18 +96,37 @@ def shift_profile(
     h = info.dual_shift_exponent
     if h is None:
         raise NoProviderError(f"{info.name}: no dual shift on labels")
-    gap = x.power - y.power
-    i, j = x.node, y.node
-    j_star = info.star(j)  # checks j before _zeros checks i
-    zeros = affine._zeros(info, i)
+    keys = _orbit_keys(info, y, h)  # checks y before _offsets checks x
+    row = affine._offsets(info, x.node)[x.node]
     profile: dict[int, int] = {}
-    for n in {j, j_star}:
-        shifts = [m + gap for m in zeros[i][n]] + [gap - m for m in zeros[n][i]]
-        for shift in shifts:
-            k, rest = divmod(shift, h)
-            if not rest and (j_star if k % 2 else j) == n:  # D^k y lands on node n
-                profile[k] = profile.get(k, 0) + 1
+    nodes = {n for n, _ in keys}  # y and y*
+    _walk(row, nodes, x.power, h, dict.fromkeys(keys, ((0, y.power),)), [profile])
     return profile
+
+
+def shift_profiles(
+    info: AffineTypeInfo, points
+) -> list[list[dict[int, int] | None]]:
+    """``shift_profile(points[a], points[b])`` at [a][b] for every pair of
+    labels, None where either is None; each label's rows are walked once.
+    Errors come in the order the pairwise calls would raise them."""
+    labels = [(a, x) for a, x in enumerate(points) if x is not None]
+    out = [[{} if x is not None and y is not None else None for y in points] for x in points]
+    if not labels:
+        return out
+    h = info.dual_shift_exponent
+    if h is None:
+        raise NoProviderError(f"{info.name}: no dual shift on labels")
+    # the first label's node, then the table, then the other nodes
+    offsets = affine._offsets(info, labels[0][1].node)
+    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for b, y in labels:
+        for key in _orbit_keys(info, y, h):
+            index.setdefault(key, []).append((b, y.power))
+    nodes = {n for n, _ in index}
+    for a, x in labels:
+        _walk(offsets[x.node], nodes, x.power, h, index, out[a])
+    return out
 
 
 def _tails(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> tuple[int, int]:

@@ -3,11 +3,14 @@
 ``Head`` and ``Dual`` keep their hash after the first call; the reference is
 a mirror of each node in plain frozen dataclasses, whose generated
 ``__hash__`` is the one the nodes had before.  ``affine._zeros`` is one dense
-``zeros[i][j]`` table per type; the references are the closed A_n^(1) form
-and the registered table itself, and, for the readers of the table, the
-per-call code they replaced: ``shift_profile`` finding the node of D^k y
-with ``dual_point``, ``_is_dual_pair`` comparing with ``dual_point``, and
-``sigma0_points`` testing each label with ``in_sigma0``.  Values, dict
+``zeros[i][j]`` table per type, and ``affine._offsets`` its d-support rows;
+the references are the closed A_n^(1) form and the registered table itself,
+and, for the readers of the tables, the per-call code they replaced:
+``d_fund`` and ``shift_profile`` reading the two zero rows d_{i,j} and
+d_{j,i} and finding the node of D^k y with ``dual_point`` (``conftest``),
+``shift_profiles`` calling ``shift_profile`` per pair, ``_is_dual_pair``
+comparing with ``dual_point``, and ``sigma0_points`` testing each label with
+``in_sigma0``.  Values, dict
 orders, error classes and messages must agree.
 """
 
@@ -18,7 +21,13 @@ import re
 from dataclasses import dataclass
 
 import pytest
-from conftest import ASYMMETRIC_D4, DEMO_D4, reference_is_dual_pair
+from conftest import (
+    ASYMMETRIC_D4,
+    DEMO_D4,
+    reference_d,
+    reference_is_dual_pair,
+    reference_shift_profile,
+)
 from test_rewrite_differential import _random_expr
 
 from qaffpbw import affine, invariants, modexpr
@@ -182,22 +191,6 @@ def test_a_registered_a_type_table_wins_over_the_closed_form(restored_tables):
 # readers of the table against the code they replaced
 
 
-def reference_shift_profile(info, x, y) -> dict[int, int]:
-    h = info.dual_shift_exponent
-    if h is None:
-        raise NoProviderError(f"{info.name}: no dual shift on labels")
-    gap = x.power - y.power
-    profile: dict[int, int] = {}
-    for n in {y.node, info.star(y.node)}:
-        shifts = [m + gap for m in denom_zeros(info, x.node, n)]
-        shifts += [gap - m for m in denom_zeros(info, n, x.node)]
-        for shift in shifts:
-            k, rest = divmod(shift, h)
-            if not rest and dual_point(info, y, k).node == n:
-                profile[k] = profile.get(k, 0) + 1
-    return profile
-
-
 def _outcome(call):
     try:
         return call()
@@ -226,6 +219,51 @@ def test_readers_match_the_replaced_code(restored_tables, zeros):
         mine = _outcome(lambda: modexpr._is_dual_pair(info, Fund(x), Fund(dual_point(info, x))))
         assert mine is True or mine[0] is AffineTypeError
     assert modexpr._is_dual_pair(info, One, Fund(P(1, 0))) is False
+
+
+@pytest.mark.parametrize(
+    "case", [f"A{n}^1" for n in range(1, 9)] + ["demo", "asymmetric"]
+)
+def test_offset_rows_and_their_readers(restored_tables, case):
+    # d_fund and shift_profile read the d-support rows; the references read
+    # the two zero rows d_{i,j} and d_{j,i} on every call
+    if case in ("demo", "asymmetric"):
+        affine.register_denominator_table("D4^1", DEMO_D4 if case == "demo" else ASYMMETRIC_D4)
+        case = "D4^1"
+    info = type_info(case)
+    h = info.dual_shift_exponent
+    offsets = affine._offsets(info)
+    assert len(offsets) == info.rank + 1 and offsets[0] == ()
+    for i in range(1, info.rank + 1):
+        assert len(offsets[i]) == info.rank + 1 and offsets[i][0] == ()
+        for j in range(1, info.rank + 1):
+            expected = denom_zeros(info, i, j) + tuple(-m for m in denom_zeros(info, j, i))
+            assert offsets[i][j] == expected, (i, j)
+            for base in (0, -h - 1):
+                for gap in range(-3 * h, 3 * h + 1):
+                    x, y = P(i, base), P(j, base + gap)
+                    assert invariants.d_fund(info, x, y) == reference_d(info, x, y), (x, y)
+                    mine = list(invariants.shift_profile(info, x, y).items())
+                    assert mine == list(reference_shift_profile(info, x, y).items()), (x, y)
+
+
+@pytest.mark.parametrize("zeros", [None, DEMO_D4, ASYMMETRIC_D4], ids=["a4", "demo", "asymmetric"])
+def test_one_sweep_gives_every_pairwise_profile(restored_tables, zeros):
+    if zeros is None:
+        info = type_info("A4^1")
+    else:
+        affine.register_denominator_table("D4^1", zeros)
+        info = type_info("D4^1")
+    h = info.dual_shift_exponent
+    labels = [P(i, p) for i in range(1, info.rank + 1) for p in range(-h, h + 1)]
+    rng = random.Random(11)
+    for _ in range(200):
+        points = [rng.choice(labels + [None]) for _ in range(rng.randint(0, 6))]
+        expected = [
+            [None if None in (x, y) else invariants.shift_profile(info, x, y) for y in points]
+            for x in points
+        ]
+        assert invariants.shift_profiles(info, points) == expected, points
 
 
 @pytest.mark.parametrize("name", ["A2^1", "A4^1", "D4^1", "B3^1"])
@@ -267,6 +305,8 @@ def test_out_of_range_nodes_keep_their_errors(name):
             lambda: invariants.d_fund(info, P(1, 0), P(bad, 0)),
             lambda: invariants.shift_profile(info, P(bad, 0), P(1, 0)),
             lambda: invariants.shift_profile(info, P(1, 0), P(bad, 0)),
+            lambda: invariants.shift_profiles(info, [P(bad, 0), P(1, 0)]),
+            lambda: invariants.shift_profiles(info, [P(1, 0), None, P(bad, 0)]),
             lambda: dual_point(info, P(bad, 0)),
             lambda: denom_zeros(info, bad, 1),
             lambda: modexpr.head(info, [Fund(P(bad, 0)), Fund(P(1, 3))]),

@@ -29,14 +29,17 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    ASYMMETRIC_A3,
     ASYMMETRIC_D4,
     DEMO_D4,
+    reference_d,
     reference_root_pattern,
+    reference_shift_profile,
     reference_verify_cuspidal_axioms,
 )
 
 from qaffpbw import affine, duality, invariants, modexpr, qdata
-from qaffpbw.affine import SigmaPoint, type_info
+from qaffpbw.affine import AffineTypeError, NoProviderError, SigmaPoint, type_info
 from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
 from qaffpbw.duality import DualityDatum, DualityError, StrongReport
 from qaffpbw.modexpr import Fund, FusionTable, Head
@@ -129,7 +132,7 @@ def reference_check_strong(datum):
                 pair_verdicts.append(((i, j), "unknown"))
                 cartan_ok = False
                 continue
-            profile = invariants.shift_profile(info, x, y)
+            profile = reference_shift_profile(info, x, y)
             matrix[i - 1][j - 1] = -profile.get(0, 0)
             bad = min((k for k in profile if k != 0), default=None)
             if bad is not None:
@@ -165,7 +168,7 @@ def reference_induced_cartan(datum):
         raise DualityError("pairwise d is not exact for compound members; no cached matrix")
     n = datum.size
     matrix = [
-        [2 if i == j else -invariants.d_fund(datum.info, points[i], points[j]) for j in range(n)]
+        [2 if i == j else -reference_d(datum.info, points[i], points[j]) for j in range(n)]
         for i in range(n)
     ]
     return reference_validated_cartan(matrix)
@@ -325,10 +328,10 @@ def reflections(datum, facts):
 
 
 # ---------------------------------------------------------------------------
-# Q-data at A1-A4: the canonical data, their reflections, and cuspidal windows
+# Q-data at A1-A6: the canonical data, their reflections, and cuspidal windows
 
 
-@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("rank", range(1, 7))
 def test_q_data_and_their_reflections(rank):
     info = type_info(f"A{rank}^1")
     for facts in (None, FusionTable.builtin(info)):
@@ -473,6 +476,21 @@ def test_registered_d4_tables(restored_tables, zeros):
         assert window_verdict(seq, -3, 14) == "fail"
 
 
+def test_a_registered_table_off_its_star_image(restored_tables):
+    # zeros[i*][j*] != zeros[i][j] here, so d(x, D^k y) is not d(y, D^-k x):
+    # a sweep that mirrored profiles across the diagonal would differ
+    affine.register_denominator_table("A3^1", ASYMMETRIC_A3)
+    info = type_info("A3^1")
+    assert affine._zeros(info)[1][2] != affine._zeros(info)[3][2]
+    assert_same_on_seeded_family(info, 3)
+    for heights in qdata.all_height_functions("A", 3):
+        q = QDatum("A", 3, heights)
+        datum = duality.from_q_datum(info, q)
+        assert datum == reference_from_q_datum(info, q)
+        assert_same_datum_checks(datum)
+        reflections(datum, None)
+
+
 # one-way tables whose pairs all pass the k-scan while the induced matrix is
 # not a finite Cartan matrix: a double pairing, and a triangle of pairings
 INVALID_MATRIX_TABLES = [
@@ -584,3 +602,76 @@ def test_is_adapted_and_phi(rank):
             assert qdata.is_adapted(q, word) == reference_is_adapted(q, word), (h, word)
             assert outcome(qdata.phi, q, word) == outcome(reference_phi, q, word), (h, word)
             assert outcome(qdata.phi, q, list(word)) == outcome(reference_phi, q, list(word))
+
+
+# ---------------------------------------------------------------------------
+# compound members, bad nodes and missing providers: the sweep reports and
+# raises as the pairwise checks did
+
+
+def test_compound_members_among_fundamentals():
+    info = type_info("A3^1")
+    q = QDatum("A", 3, (0, 1, 2))
+    members = list(duality.from_q_datum(info, q).members)
+    compound = Head((Fund(P(1, 2)), Fund(P(1, 0))))
+    for at in range(len(members) + 1):
+        datum = DualityDatum(info=info, members=tuple(members[:at] + [compound] + members[at:]))
+        report = duality.check_strong(datum)
+        assert report.cartan is None and report.overall in ("unknown", "fail")
+        assert report.root_verdicts[at] == (at + 1, "unknown")
+        assert_same_datum_checks(datum)
+    # only compound members: no profile is read, so nothing is raised
+    datum = DualityDatum(info=type_info("B3^1"), members=(compound, compound))
+    assert_same_datum_checks(datum)
+    assert duality.check_strong(datum).overall == "unknown"
+
+
+@pytest.mark.parametrize("name", ["A2^1", "A5^1"])
+def test_a_member_off_the_diagram_names_the_first_bad_member(name):
+    info = type_info(name)
+    top = info.rank + 1
+    good = [Fund(P(i, 0)) for i in range(1, info.rank + 1)]
+    compound = Head((Fund(P(1, 2)), Fund(P(1, 0))))
+    for bad in (0, top):
+        for second in (0, top):
+            for at in range(len(good) + 1):
+                members = good[:at] + [Fund(P(bad, 0))] + good[at:]
+                members.insert(len(members) // 2, Fund(P(second, 1)))
+                datum = DualityDatum(info=info, members=(compound, *members))
+                got = outcome(duality.check_strong, datum)
+                assert got == outcome(reference_check_strong, datum), datum
+                first = next(m.point.node for m in members if not 1 <= m.point.node < top)
+                assert got[1:] == (AffineTypeError, f"node {first} out of range for {name}")
+
+
+def test_missing_providers_raise_as_before(restored_tables):
+    affine._EXTERNAL_TABLES.pop("D4^1", None)
+    d4, b3 = type_info("D4^1"), type_info("B3^1")
+    cases = [
+        (d4, (Fund(P(1, 0)), Fund(P(2, 1)))),
+        (d4, (Fund(P(1, 0)), Fund(P(5, 1)))),  # the table is checked before member 2
+        (d4, (Head((Fund(P(1, 2)), Fund(P(1, 0)))), Fund(P(3, 1)))),
+        (b3, (Fund(P(1, 0)), Fund(P(2, 1)))),
+        (b3, (Fund(P(0, 0)),)),  # the dual shift is checked before the node
+    ]
+    for info, members in cases:
+        datum = DualityDatum(info=info, members=members)
+        got = outcome(duality.check_strong, datum)
+        assert got == outcome(reference_check_strong, datum), datum
+        assert got[1] is NoProviderError
+    assert outcome(duality.check_strong, DualityDatum(info=d4, members=cases[0][1]))[2] == (
+        "D4^1: no denominator table registered"
+    )
+    assert outcome(duality.check_strong, DualityDatum(info=b3, members=cases[3][1]))[2] == (
+        "B3^1: no dual shift on labels"
+    )
+    # from_q_datum still returns the datum, unchecked
+    q = QDatum("D", 4, (0, 1, 0, 0))
+    datum = duality.from_q_datum(d4, q)
+    labels = qdata.fundamental_labels(q)
+    assert datum == DualityDatum(
+        info=d4,
+        members=tuple(Fund(labels[i]) for i in range(1, 5)),
+        provenance="from-Q",
+        complete=True,
+    )
