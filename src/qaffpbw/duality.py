@@ -112,12 +112,12 @@ def roll_up(verdicts) -> str:
 def check_strong(datum: DualityDatum) -> StrongReport:
     """Exhaustive label-level verification of the strong-datum axioms.
 
-    One sweep (``invariants.shift_profiles``) gives every profile
+    One sweep (``invariants._shift_profiles``) gives every profile
     d(R_i, D^k R_j); the root verdicts read the diagonal, the pair verdicts
     the rest, and the induced matrix their k = 0 entries."""
     info = datum.info
     points = [fund_point(m) for m in datum.members]
-    profiles = invariants.shift_profiles(info, points)
+    profiles = invariants._shift_profiles(info, points)
     root_verdicts = [
         (i, "unknown" if x is None else _root_grade(profiles[i - 1][i - 1]))
         for i, x in enumerate(points, start=1)

@@ -27,7 +27,7 @@ exponent p_y + k h, so a label (n, q) is some D^k y exactly when
 (n, q mod 2h) is (y, p_y) or (y*, p_y + h) mod 2h, and then
 k = (q - p_y) / h: ``_orbit_keys`` writes this rule once.  ``_walk`` reads
 every label x + offset of x's rows off an index of such keys, which gives
-``shift_profile`` (one y, the rows y and y*) and ``shift_profiles`` (every
+``shift_profile`` (one y, the rows y and y*) and ``_shift_profiles`` (every
 ordered pair of a family, each label's rows walked once).
 
 Two facts hold for any zero table, registered ones included:
@@ -52,7 +52,6 @@ from .rootsys import cartan
 __all__ = [
     "d_fund",
     "shift_profile",
-    "shift_profiles",
     "lambda_fund",
     "lambda_inf_fund",
     "de_tilde_fund",
@@ -104,7 +103,7 @@ def shift_profile(
     return profile
 
 
-def shift_profiles(
+def _shift_profiles(
     info: AffineTypeInfo, points
 ) -> list[list[dict[int, int] | None]]:
     """``shift_profile(points[a], points[b])`` at [a][b] for every pair of

@@ -9,12 +9,11 @@ simple roots.  Node numbering follows Bourbaki:
     E_n : chain 1 - 3 - 4 - 5 - ... - n, with 2 attached to 4
 
 A reduced expression ``w = s_{i_1} ... s_{i_m}`` is stored as the flat tuple
-``(i_1, ..., i_m)``.  Three caches hold all Weyl data: one record per
+``(i_1, ..., i_m)``.  Two caches hold all Weyl data: one record per
 (type, rank) with the Cartan matrix, the positive roots and a reduced word
-of w0, one analysis per (type, rank, word), and the minimal pairs per word,
-kept apart because their O(l^2) scan serves only the minimal-pair readers.
-The analysis walks the word once, carrying the images w(alpha_j) of the
-simple roots under the prefix w, updated by
+of w0, and one analysis per (type, rank, word).  The analysis walks the word
+once, carrying the images w(alpha_j) of the simple roots under the prefix w,
+updated by
 
     (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
 
@@ -63,7 +62,6 @@ class RootSystemError(ValueError):
 
 Root = tuple[int, ...]
 Word = tuple[int, ...]
-Pair = tuple[int, int]
 
 
 def cartan(type_letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -106,7 +104,7 @@ class _WordData(NamedTuple):
     reduced: bool
     # the fields below are empty unless the word is reduced
     betas: tuple[Root, ...]
-    packed: tuple[int, ...]  # the betas, packed
+    pairs: tuple[tuple[tuple[int, int], ...], ...]  # minimal pairs of beta_k
 
 
 _BITS = 8  # per packed coefficient
@@ -179,16 +177,6 @@ def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
             return _WordData(False, (), ())
         betas.append(beta)
         _step(steps, images, i)
-    roots = data.roots
-    return _WordData(True, tuple(roots[beta] for beta in betas), tuple(betas))
-
-
-@lru_cache(maxsize=WORD_CACHE_SIZE)
-def _word_pairs(type_letter: str, rank: int, word: Word) -> tuple[tuple[Pair, ...], ...]:
-    """The minimal pairs of every beta_k of the word, () for a word that is
-    not reduced: an O(l^2) scan, cached apart from ``_word_data`` so that
-    only the readers of pairs pay for it."""
-    betas = _word_data(type_letter, rank, word).packed
     # beta_k = beta_a + beta_b with a < k < b; each a fixes b, so a scan of a
     # gives the pairs in order, and a pair is minimal when no later a has a
     # smaller b
@@ -207,7 +195,8 @@ def _word_pairs(type_letter: str, rank: int, word: Word) -> tuple[tuple[Pair, ..
                 minimal.append((a, b))
                 least = b
         pairs.append(tuple(reversed(minimal)))
-    return tuple(pairs)
+    roots = data.roots
+    return _WordData(True, tuple(roots[beta] for beta in betas), tuple(pairs))
 
 
 def _reduced_words(
@@ -309,7 +298,7 @@ class RootSystem:
         letter = word[k0]
         return self.star(letter) if m % 2 else letter
 
-    def minimal_pairs(self, word: Word, k: int) -> tuple[Pair, ...]:
+    def minimal_pairs(self, word: Word, k: int) -> tuple[tuple[int, int], ...]:
         """Minimal pairs (a, b) of beta_k within the convex order of the word.
 
         A decomposition beta_a + beta_b = beta_k (a < k < b) is minimal when no
@@ -319,9 +308,4 @@ class RootSystem:
         betas = self.beta_sequence(word)
         if not 1 <= k <= len(betas):
             raise RootSystemError(f"index {k} out of range")
-        return self.word_pairs(word)[k - 1]
-
-    def word_pairs(self, word: Word) -> tuple[tuple[Pair, ...], ...]:
-        """``minimal_pairs(word, k)`` for k = 1..l as one tuple, () for a word
-        that is not reduced."""
-        return _word_pairs(self.type_letter, self.rank, tuple(word))
+        return self._analysis(word).pairs[k - 1]

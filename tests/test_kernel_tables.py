@@ -8,7 +8,7 @@ the references are the closed A_n^(1) form and the registered table itself,
 and, for the readers of the tables, the per-call code they replaced:
 ``d_fund`` and ``shift_profile`` reading the two zero rows d_{i,j} and
 d_{j,i} and finding the node of D^k y with ``dual_point`` (``conftest``),
-``shift_profiles`` calling ``shift_profile`` per pair, ``_is_dual_pair``
+``_shift_profiles`` calling ``shift_profile`` per pair, ``_is_dual_pair``
 comparing with ``dual_point``, and ``sigma0_points`` testing each label with
 ``in_sigma0``.  Values, dict
 orders, error classes and messages must agree.
@@ -263,7 +263,7 @@ def test_one_sweep_gives_every_pairwise_profile(restored_tables, zeros):
             [None if None in (x, y) else invariants.shift_profile(info, x, y) for y in points]
             for x in points
         ]
-        assert invariants.shift_profiles(info, points) == expected, points
+        assert invariants._shift_profiles(info, points) == expected, points
 
 
 @pytest.mark.parametrize("name", ["A2^1", "A4^1", "D4^1", "B3^1"])
@@ -305,8 +305,8 @@ def test_out_of_range_nodes_keep_their_errors(name):
             lambda: invariants.d_fund(info, P(1, 0), P(bad, 0)),
             lambda: invariants.shift_profile(info, P(bad, 0), P(1, 0)),
             lambda: invariants.shift_profile(info, P(1, 0), P(bad, 0)),
-            lambda: invariants.shift_profiles(info, [P(bad, 0), P(1, 0)]),
-            lambda: invariants.shift_profiles(info, [P(1, 0), None, P(bad, 0)]),
+            lambda: invariants._shift_profiles(info, [P(bad, 0), P(1, 0)]),
+            lambda: invariants._shift_profiles(info, [P(1, 0), None, P(bad, 0)]),
             lambda: dual_point(info, P(bad, 0)),
             lambda: denom_zeros(info, bad, 1),
             lambda: modexpr.head(info, [Fund(P(bad, 0)), Fund(P(1, 3))]),

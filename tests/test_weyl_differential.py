@@ -27,8 +27,7 @@ from pathlib import Path
 import pytest
 from conftest import act, is_positive, length, reduced_words_of_longest
 
-from qaffpbw import affine, duality, qdata, rootsys
-from qaffpbw.cuspidal import CuspidalSeq, FundamentalCuspidalSeq
+from qaffpbw import qdata, rootsys
 from qaffpbw.rootsys import RootSystem, RootSystemError, _unpack, dynkin_edges
 
 FROZEN = Path(__file__).resolve().parent / "data" / "l0_frozen.json"
@@ -204,30 +203,6 @@ def test_star_analyses_no_word():
             for i in rs.nodes:
                 rs.star(i)
     assert rootsys._word_data.cache_info().misses == 0
-
-
-def test_q_data_and_their_label_maps_scan_no_pairs():
-    # the minimal-pair scan serves the cuspidal recursion alone: a sequence
-    # runs it once, in its constructor, and no materialize call runs it again
-    rootsys._word_pairs.cache_clear()
-    for type_letter, ranks in (("A", range(1, 7)), ("D", (4,))):
-        for rank in ranks:
-            info = affine.type_info(f"{type_letter}{rank}^1")
-            for heights in qdata.all_height_functions(type_letter, rank):
-                q = qdata.QDatum(type_letter, rank, heights)
-                word = qdata.some_adapted_word(q)
-                duality.from_q_datum(info, q)
-                qdata.phi(q, word)
-                assert q.root_system.spells_longest(word)
-                q.root_system.beta_sequence(word)
-                FundamentalCuspidalSeq(info, q, word).range(-3, 10)
-    assert rootsys._word_pairs.cache_info().misses == 0
-    info = affine.type_info("A4^1")
-    q = qdata.QDatum("A", 4, (0, 1, 2, 3))
-    seq = CuspidalSeq(duality.from_q_datum(info, q), qdata.some_adapted_word(q))
-    assert rootsys._word_pairs.cache_info().misses == 1
-    seq.range(1, seq.ell)
-    assert rootsys._word_pairs.cache_info().misses == 1
 
 
 def frozen_outputs() -> dict:
