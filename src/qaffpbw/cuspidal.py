@@ -32,13 +32,14 @@ __all__ = [
 ]
 
 
-def _recursion_step(rs: RootSystem, word: Word, k: int) -> int | tuple[int, int]:
+def _recursion_step(analysis, k: int) -> int | tuple[int, int]:
     """The node j when beta_k = alpha_j (the member R_j), otherwise the
-    minimal pair (a, b) of beta_k the recursion takes."""
-    beta = rs.beta_sequence(word)[k - 1]
+    minimal pair (a, b) of beta_k the recursion takes; ``analysis`` is the
+    word's record from ``RootSystem._analysis`` (its betas and minimal pairs)."""
+    beta = analysis.betas[k - 1]
     if sum(beta) == 1:
         return beta.index(1) + 1
-    return min(rs.minimal_pairs(word, k))  # deterministic tie-break: smallest left index
+    return min(analysis.pairs[k - 1])  # deterministic tie-break: smallest left index
 
 
 def _word_root_system(datum: DualityDatum) -> RootSystem:
@@ -73,6 +74,9 @@ class CuspidalSeq:
         if not self.rs.spells_longest(self.word):
             name = f"{self.rs.type_letter}{self.rs.rank}"
             raise RootSystemError(f"word {self.word} does not spell w0 of {name}")
+        # the record spells_longest just read, kept so that no recursion step
+        # looks the word up again
+        self._analysis = self.rs._analysis(self.word)
 
     def _start(self, info, rs: RootSystem, word: Word, facts: FusionTable | None) -> None:
         self.info, self.rs, self.facts = info, rs, facts
@@ -92,7 +96,7 @@ class CuspidalSeq:
         if shift:
             value = modexpr.dual(self.info, self.materialize(k0), shift, self.facts)
         else:
-            step = _recursion_step(self.rs, self.word, k0)
+            step = _recursion_step(self._analysis, k0)
             if isinstance(step, int):
                 value = self.datum.member(step)
             else:

@@ -56,7 +56,7 @@ def cuspidal_expr(rs: RootSystem, word, k: int) -> CuspExpr:
         raise RootSystemError("word does not spell the longest element")
     if not 1 <= k <= len(word):
         raise RootSystemError(f"index {k} outside 1..{len(word)}")
-    step = _recursion_step(rs, word, k)
+    step = _recursion_step(rs._analysis(word), k)
     if isinstance(step, int):
         return Letter(step)
     a, b = step
