@@ -362,9 +362,10 @@ def _derived(info: AffineTypeInfo) -> dict:
     ``"sigma0"`` for ``_sigma0_lattice``,
     ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
     ``"probe_basis"`` for ``modexpr._probe_basis``,
-    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``
-    and ``("normal", facts)`` for the normal forms of ``modexpr.normalize``
-    under the fusion table ``facts`` (or ``None``).
+    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``,
+    ``("normal", facts)`` for the normal forms of ``modexpr.normalize``
+    under the fusion table ``facts`` (or ``None``) and ``"from_q"`` for the
+    checked data of ``duality.from_q_datum``, keyed by Q-datum.
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the

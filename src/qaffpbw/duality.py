@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
-from . import invariants, modexpr
+from . import affine, invariants, modexpr
 from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, type_info
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .qdata import QDatum, fundamental_labels
+from .rootsys import WORD_CACHE_SIZE
 
 __all__ = [
     "DualityDatum",
@@ -110,28 +111,29 @@ def roll_up(verdicts) -> str:
 
 
 def check_strong(datum: DualityDatum) -> StrongReport:
-    """Exhaustive label-level verification of the strong-datum axioms.
+    """Exhaustive label-level verification of the strong-datum axioms."""
+    return _report(datum.info, datum.members)
+
+
+def _report(info: AffineTypeInfo, members: tuple[Expr, ...]) -> StrongReport:
+    """The strong-datum report of the members, built in one pass.
 
     One sweep (``invariants._shift_profiles``) gives every profile
     d(R_i, D^k R_j); the root verdicts read the diagonal, the pair verdicts
     the rest, and the induced matrix their k = 0 entries."""
-    info = datum.info
-    points = [fund_point(m) for m in datum.members]
+    points = [fund_point(m) for m in members]
     profiles = invariants._shift_profiles(info, points)
-    root_verdicts = [
-        (i, "unknown" if x is None else _root_grade(profiles[i - 1][i - 1]))
-        for i, x in enumerate(points, start=1)
-    ]
+    root_verdicts = []
     pair_verdicts = []
     for i, row in enumerate(profiles, start=1):
         for j, profile in enumerate(row, start=1):
             if i == j:
-                continue
-            if profile is None:
+                root_verdicts.append((i, "unknown" if profile is None else _root_grade(profile)))
+            elif profile is None:
                 pair_verdicts.append(((i, j), "unknown"))
-                continue
-            bad = min((k for k in profile if k != 0), default=None)
-            pair_verdicts.append(((i, j), "ok" if bad is None else f"fail(k={bad})"))
+            else:
+                bad = min((k for k in profile if k != 0), default=None)
+                pair_verdicts.append(((i, j), "ok" if bad is None else f"fail(k={bad})"))
 
     verdicts = [v for _, v in pair_verdicts] + [v for _, v in root_verdicts]
     cartan = None
@@ -274,15 +276,14 @@ def _reflected(
     cartan = induced_cartan(datum)
     members = _reflect_members(datum, cartan, k, inverse, facts)
     tag = f"S{k}^-1" if inverse else f"S{k}"
-    new = DualityDatum(
+    return DualityDatum(
         info=datum.info,
         members=members,
         provenance=f"{tag}({datum.provenance})",
         complete=datum.complete,
-        strength="unknown",
+        strength=_strength(_report(datum.info, members).overall, datum.strength),
         cartan=cartan,
     )
-    return replace(new, strength=_strength(check_strong(new).overall, datum.strength))
 
 
 def _strength(overall: str, carried: str) -> str:
@@ -318,7 +319,8 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
     Supported for untwisted ADE affine types, where the node map from the
     associated finite diagram to I0 is the identity.  Everywhere else that
     map folds the diagram and is out of scope, so the construction refuses
-    instead of guessing.
+    instead of guessing.  The checked datum is kept per Q-datum in the
+    type's memo (``affine._derived``), which a new denominator table empties.
     """
     if info.twist != 1 or info.letter not in ("A", "D", "E"):
         raise DualityError(
@@ -330,23 +332,33 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
             f"Q-datum type {q.type_letter}{q.rank} does not match the "
             f"associated finite type {info.fin_type} of {info.name}"
         )
+    memo = affine._derived(info).setdefault("from_q", {})
+    datum = memo.get(q)
+    if datum is None:
+        if len(memo) >= WORD_CACHE_SIZE:  # a full memo starts over
+            memo.clear()
+        datum = memo[q] = _checked_from_q(info, q)
+    return datum
+
+
+def _checked_from_q(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
     labels = fundamental_labels(q)
     members = tuple(Fund(labels[i]) for i in range(1, q.rank + 1))
-    datum = DualityDatum(
+    try:
+        report = _report(info, members)
+    except NoProviderError:
+        # registered metadata-only type: the labels exist, the axioms are
+        # not checkable without a denominator table
+        strength, cartan = "unknown", None
+    else:
+        strength, cartan = _strength(report.overall, "unknown"), report.cartan
+    return DualityDatum(
         info=info,
         members=members,
         provenance="from-Q",
         complete=True,
-        strength="unknown",
-    )
-    try:
-        report = check_strong(datum)
-    except NoProviderError:
-        # registered metadata-only type: the labels exist, the axioms are
-        # not checkable without a denominator table
-        return datum
-    return replace(
-        datum, strength=_strength(report.overall, datum.strength), cartan=report.cartan
+        strength=strength,
+        cartan=cartan,
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
@@ -60,15 +60,18 @@ class QDatum:
     automorphism: tuple[int, ...] | None = None  # identity when None
 
     def __post_init__(self) -> None:
-        if self.automorphism is not None and tuple(self.automorphism) != tuple(
-            range(1, self.rank + 1)
-        ):
-            raise UnsupportedAutomorphismError(
-                "only identity diagram automorphisms are supported"
-            )
+        edges = dynkin_edges(self.type_letter, self.rank)  # validates (type, rank)
+        if self.automorphism is not None:
+            if tuple(self.automorphism) != tuple(range(1, self.rank + 1)):
+                raise UnsupportedAutomorphismError(
+                    "only identity diagram automorphisms are supported"
+                )
+            object.__setattr__(self, "automorphism", tuple(self.automorphism))
+        # a tuple, so that the Q-datum can key the caches of its derived values
+        object.__setattr__(self, "heights", tuple(self.heights))
         if len(self.heights) != self.rank:
             raise QDatumError("height function must assign every node")
-        for i, j in dynkin_edges(self.type_letter, self.rank):
+        for i, j in edges:
             if abs(self.heights[i - 1] - self.heights[j - 1]) != 1:
                 raise QDatumError(
                     f"heights at adjacent nodes {i},{j} must differ by 1"
@@ -95,6 +98,12 @@ def _at_minimum(q: QDatum) -> Callable[[int, list[int]], bool]:
     return allowed
 
 
+def _label(q: QDatum, letter: int, seen: int) -> SigmaPoint:
+    """The label rule: a letter i after ``seen`` letters i sits at
+    (i, xi(i) + 2 * seen)."""
+    return SigmaPoint(letter, q.heights[letter - 1] + 2 * seen)
+
+
 def _adapted_labels(q: QDatum, word: Word) -> list[SigmaPoint] | None:
     """The labels (i_k, xi^(k)(i_k)) along the word, or None when the word
     does not spell w0 or breaks the local-minimum rule."""
@@ -106,7 +115,7 @@ def _adapted_labels(q: QDatum, word: Word) -> list[SigmaPoint] | None:
     for letter in word:
         if not allowed(letter, counts):
             return None
-        labels.append(SigmaPoint(letter, q.heights[letter - 1] + 2 * counts[letter - 1]))
+        labels.append(_label(q, letter, counts[letter - 1]))
         counts[letter - 1] += 1
     return labels
 
@@ -131,8 +140,10 @@ def adapted_words(q: QDatum) -> Iterator[Word]:
     yield from _adapted_search(q)
 
 
+@lru_cache(maxsize=rootsys.WORD_CACHE_SIZE)
 def some_adapted_word(q: QDatum) -> Word:
-    """The first adapted word in the canonical search order."""
+    """The first adapted word in the canonical search order, kept per Q-datum
+    (pure Weyl combinatorics, so nothing can make it stale)."""
     word = next(_adapted_search(q), None)
     if word is None:  # pragma: no cover - every valid Q-datum has one
         raise QDatumError("no adapted word found")
@@ -148,10 +159,20 @@ def phi(q: QDatum, word: Word) -> dict[Root, SigmaPoint]:
 
 
 def fundamental_labels(q: QDatum) -> dict[int, SigmaPoint]:
-    """phi_Q(alpha_i) for every node i, via the canonical adapted word."""
+    """phi_Q(alpha_i) for every node i, via the canonical adapted word.
+
+    The search already enforced reducedness and the local-minimum rule, so
+    the word is not walked again: alpha_i is beta_k at its position k among
+    the word's cached betas, and gets the label of the letter i_k there.
+    """
     rs = q.root_system
-    mapping = phi(q, some_adapted_word(q))
-    return {i: mapping[rs.simple_root(i)] for i in rs.nodes}
+    word = some_adapted_word(q)
+    betas = rs.beta_sequence(word)
+    labels = {}
+    for i in rs.nodes:
+        k = betas.index(rs.simple_root(i))
+        labels[i] = _label(q, word[k], word[:k].count(word[k]))
+    return labels
 
 
 def all_height_functions(type_letter: str, rank: int) -> Iterator[tuple[int, ...]]:

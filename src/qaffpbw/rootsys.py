@@ -51,8 +51,10 @@ def rank_from_digits(digits: str) -> int:
         raise RootSystemError(f"rank {digits} exceeds the limit {MAX_RANK}")
     return int(digits)
 
-# Word analyses kept at once; a cuspidal sequence or an adapted-word search
-# touches a handful of words, so this only bounds a long-running process.
+# Word analyses kept at once, and the values derived per Q-datum (its adapted
+# word in ``qdata``, its checked datum in ``duality``); a cuspidal sequence or
+# an adapted-word search touches a handful of words and a session a handful of
+# Q-data, so this only bounds a long-running process.
 WORD_CACHE_SIZE = 1024
 
 

@@ -189,11 +189,17 @@ def reference_reflected_strength(datum, new):
 
 
 def reference_from_q_datum(info, q):
-    labels = reference_phi(q, qdata.some_adapted_word(q))
+    """The datum as built before it was kept per Q-datum: the uncached
+    adapted-word search, ``reference_phi``'s walk and the reference checks;
+    a type without a table gives the unchecked datum."""
+    labels = reference_phi(q, qdata.some_adapted_word.__wrapped__(q))
     rs = q.root_system
     members = tuple(Fund(labels[rs.simple_root(i)]) for i in rs.nodes)
     datum = DualityDatum(info=info, members=members, provenance="from-Q", complete=True)
-    report = reference_check_strong(datum)
+    try:
+        report = reference_check_strong(datum)
+    except NoProviderError:
+        return datum
     strength = "verified" if report.overall == "pass" else "unknown"
     return replace(datum, strength=strength, cartan=report.cartan)
 
@@ -453,6 +459,67 @@ def test_every_pair_of_a_window():
     for x in points:
         for y in points:
             assert_same_pair_checks(info, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the values kept per Q-datum (the adapted word, and the checked datum in the
+# type's memo) against the uncached reference route, on every height function
+
+Q_TYPES = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("E", 6)]
+DATUM_FIELDS = ("members", "strength", "cartan", "complete", "provenance")
+
+
+def q_data(type_letter, rank):
+    return [QDatum(type_letter, rank, h) for h in qdata.all_height_functions(type_letter, rank)]
+
+
+def datum_fields(datum):
+    return tuple(getattr(datum, field) for field in DATUM_FIELDS)
+
+
+@pytest.mark.parametrize("type_letter, rank", Q_TYPES, ids=[f"{t}{n}" for t, n in Q_TYPES])
+def test_the_kept_adapted_word_is_the_search_result(type_letter, rank):
+    search = qdata.some_adapted_word
+    search.cache_clear()
+    for q in q_data(type_letter, rank):
+        word = search.__wrapped__(q)
+        hits = search.cache_info().hits
+        assert search(q) == word and search.cache_info().hits == hits, q
+        assert search(q) == word and search.cache_info().hits == hits + 1, q
+
+
+@pytest.mark.parametrize("type_letter, rank", Q_TYPES, ids=[f"{t}{n}" for t, n in Q_TYPES])
+def test_from_q_datum_matches_the_reference_route(type_letter, rank):
+    info = type_info(f"{type_letter}{rank}^1")
+    affine._DERIVED.pop(info.name, None)  # the first call of each Q-datum builds
+    qdata.some_adapted_word.cache_clear()
+    for q in q_data(type_letter, rank):
+        expected = datum_fields(reference_from_q_datum(info, q))
+        first = duality.from_q_datum(info, q)
+        assert affine._derived(info)["from_q"][q] is first
+        again = duality.from_q_datum(info, q)
+        assert datum_fields(first) == datum_fields(again) == expected, q
+        assert first.info is again.info is info
+
+
+def test_report_assembly_on_compound_failing_and_unknown_data():
+    info = type_info("A3^1")
+    datum = duality.from_q_datum(info, QDatum("A", 3, (0, 1, 2)))
+    x, y, z = (m.point for m in datum.members)
+    compound = Head((Fund(x), Fund(y)))
+    cases = [
+        ("pass", datum.members),
+        ("unknown", (Fund(x), compound, Fund(z))),
+        ("unknown", (compound,)),
+        ("fail", (Fund(x), Fund(x), Fund(z))),
+        ("fail", (compound, Fund(y), Fund(y))),
+        ("fail", (Fund(x), Fund(affine.dual_point(info, x, 1)), Fund(z))),
+    ]
+    for overall, members in cases:
+        case = DualityDatum(info=info, members=members)
+        report = duality.check_strong(case)
+        assert report == reference_check_strong(case), members
+        assert report.overall == overall, members
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from qaffpbw import qdata
 from qaffpbw.affine import SigmaPoint, dual_point, type_info
 from qaffpbw.duality import from_q_datum
 from qaffpbw.qdata import QDatum, QDatumError, UnsupportedAutomorphismError
-from qaffpbw.rootsys import dynkin_edges
+from qaffpbw.rootsys import RootSystemError, dynkin_edges
 
 A2 = type_info("A2^1")
 P = SigmaPoint
@@ -24,6 +24,16 @@ def test_validate():
         QDatum("A", 2, (0, 1), automorphism=(2, 1))
     with pytest.raises(QDatumError, match="height function must assign every node"):
         QDatum("A", 3, (0, 1))
+    # (type, rank) is checked before the heights are counted
+    for rank in (0, -1):
+        with pytest.raises(RootSystemError, match=f"invalid rank {rank} for type A"):
+            QDatum("A", rank, ())
+        with pytest.raises(RootSystemError, match=f"invalid rank {rank} for type A"):
+            qdata.qdatum_from_json({"fin_type": "A", "rank": rank, "xi": {}})
+    # heights and automorphism are kept as tuples, so a Q-datum is a cache key
+    listed = QDatum("A", 2, [0, 1], automorphism=[1, 2])
+    assert (listed.heights, listed.automorphism) == ((0, 1), (1, 2))
+    assert hash(listed) == hash(QDatum("A", 2, (0, 1), automorphism=(1, 2)))
     with pytest.raises(QDatumError, match="Q-datum JSON must be an object"):
         qdata.qdatum_from_json("[]")
 
