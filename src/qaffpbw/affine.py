@@ -284,8 +284,8 @@ def dual_point(info: AffineTypeInfo, x: SigmaPoint, k: int = 1) -> SigmaPoint:
             f"{info.name}: p* is not an integer power of -q, labels do not "
             "live on a single (-q)-lattice"
         )
-    node = info.star(x.node) if k % 2 else x.node
-    return SigmaPoint(node, x.power + k * h)
+    star = info.star(x.node)  # refuses a node outside 1..rank for every k
+    return SigmaPoint(star if k % 2 else x.node, x.power + k * h)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,8 @@ def _derived(info: AffineTypeInfo) -> dict:
     ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``,
     ``("normal", facts)`` for the normal forms of ``modexpr.normalize``
     under the fusion table ``facts`` (or ``None``) and ``"from_q"`` for the
-    checked data of ``duality.from_q_datum``, keyed by Q-datum.
+    checked data of ``duality.from_q_datum``, keyed by Q-datum; these two
+    start over when full, at ``rootsys.CACHE_SIZE`` entries.
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the

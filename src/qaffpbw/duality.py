@@ -10,15 +10,17 @@ with (c_ij) a simply-laced finite Cartan matrix.  These are decidable
 exactly when the members are fundamental labels; pairs involving compound
 labels come back as "unknown".
 
-Each label check is written once here, and ``cuspidal`` reads the same ones:
-``fund_point`` maps a member to its label (None when compound),
-``root_verdict`` grades the root-module pattern, ``_cartan_of`` builds the
-induced matrix from -d and validates it with ``classify_cartan``, the one
-finite-type rule, ``check_strong`` reads every d(R_i, D^k R_j) off one
-sweep, and ``roll_up`` folds verdicts into pass, fail or unknown.
+Each label check is written once here: ``fund_point`` maps a member to its
+label (None when compound), ``root_verdict`` grades the root-module pattern,
+``_cartan_of`` builds the induced matrix from -d and validates it with
+``classify_cartan``, the one finite-type rule, and ``roll_up`` folds
+verdicts into pass, fail or unknown.  ``check_strong`` is the one route to a
+``StrongReport``: it reads every d(R_i, D^k R_j) off one sweep, and
+``from_q_datum`` and the reflections call it on each datum they build.
 ``_strength`` is the one strength rule: pass gives verified; from a verified
 or inherited parent, unknown gives inherited and fail raises; anything else
-gives unknown.
+gives unknown.  ``cuspidal`` reads ``fund_point``, ``induced_cartan`` and
+``classify_cartan``.
 
 Completeness is not decidable from labels: it is a provenance flag, seeded
 by construction from a Q-datum and transported along reflections.
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from . import affine, invariants, modexpr
+from . import affine, invariants, modexpr, rootsys
 from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, type_info
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .qdata import QDatum, fundamental_labels
-from .rootsys import WORD_CACHE_SIZE
 
 __all__ = [
     "DualityDatum",
@@ -111,18 +112,13 @@ def roll_up(verdicts) -> str:
 
 
 def check_strong(datum: DualityDatum) -> StrongReport:
-    """Exhaustive label-level verification of the strong-datum axioms."""
-    return _report(datum.info, datum.members)
-
-
-def _report(info: AffineTypeInfo, members: tuple[Expr, ...]) -> StrongReport:
-    """The strong-datum report of the members, built in one pass.
+    """Exhaustive label-level verification of the strong-datum axioms.
 
     One sweep (``invariants._shift_profiles``) gives every profile
     d(R_i, D^k R_j); the root verdicts read the diagonal, the pair verdicts
     the rest, and the induced matrix their k = 0 entries."""
-    points = [fund_point(m) for m in members]
-    profiles = invariants._shift_profiles(info, points)
+    points = [fund_point(m) for m in datum.members]
+    profiles = invariants._shift_profiles(datum.info, points)
     root_verdicts = []
     pair_verdicts = []
     for i, row in enumerate(profiles, start=1):
@@ -276,14 +272,14 @@ def _reflected(
     cartan = induced_cartan(datum)
     members = _reflect_members(datum, cartan, k, inverse, facts)
     tag = f"S{k}^-1" if inverse else f"S{k}"
-    return DualityDatum(
+    image = DualityDatum(
         info=datum.info,
         members=members,
         provenance=f"{tag}({datum.provenance})",
         complete=datum.complete,
-        strength=_strength(_report(datum.info, members).overall, datum.strength),
         cartan=cartan,
     )
+    return replace(image, strength=_strength(check_strong(image).overall, datum.strength))
 
 
 def _strength(overall: str, carried: str) -> str:
@@ -335,7 +331,7 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
     memo = affine._derived(info).setdefault("from_q", {})
     datum = memo.get(q)
     if datum is None:
-        if len(memo) >= WORD_CACHE_SIZE:  # a full memo starts over
+        if len(memo) >= rootsys.CACHE_SIZE:  # a full memo starts over
             memo.clear()
         datum = memo[q] = _checked_from_q(info, q)
     return datum
@@ -343,23 +339,19 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
 
 def _checked_from_q(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
     labels = fundamental_labels(q)
-    members = tuple(Fund(labels[i]) for i in range(1, q.rank + 1))
+    datum = DualityDatum(
+        info=info,
+        members=tuple(Fund(labels[i]) for i in range(1, q.rank + 1)),
+        provenance="from-Q",
+        complete=True,
+    )
     try:
-        report = _report(info, members)
+        report = check_strong(datum)
     except NoProviderError:
         # registered metadata-only type: the labels exist, the axioms are
         # not checkable without a denominator table
-        strength, cartan = "unknown", None
-    else:
-        strength, cartan = _strength(report.overall, "unknown"), report.cartan
-    return DualityDatum(
-        info=info,
-        members=members,
-        provenance="from-Q",
-        complete=True,
-        strength=strength,
-        cartan=cartan,
-    )
+        return datum
+    return replace(datum, strength=_strength(report.overall, "unknown"), cartan=report.cartan)
 
 
 def datum_equal(
@@ -409,9 +401,12 @@ def datum_from_json(doc: str | dict | Mapping) -> DualityDatum:
         if str(i) not in raw:
             raise DualityError(f"datum field 'members' has no member {i}")
         try:
-            members.append(modexpr.expr_from_json(raw[str(i)]))
+            member = modexpr.expr_from_json(raw[str(i)])
         except ValueError as err:
             raise DualityError(f"datum field 'members' entry {i}: {err}") from err
+        for x, _ in modexpr.signed_leaves(member):
+            info.star(x.node)  # refuses a node outside 1..rank
+        members.append(member)
     provenance = data.get("provenance", "user")
     if not isinstance(provenance, str):
         raise DualityError(f"datum field 'provenance' must be a string, got {provenance!r}")

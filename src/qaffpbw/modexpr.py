@@ -63,7 +63,7 @@ from operator import add
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from . import affine, invariants
+from . import affine, invariants, rootsys
 from ._linalg import pivot_columns
 from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
 
@@ -379,10 +379,6 @@ def _normalize_head(
     raise RuntimeError("rewriting did not terminate")  # pragma: no cover
 
 
-# Normal forms kept per type and fusion table; a full memo starts over.
-NORMAL_MEMO_SIZE = 4096
-
-
 def normalize(
     info: AffineTypeInfo,
     expr: Expr,
@@ -432,7 +428,7 @@ def _normal(
     else:
         raise TypeError(f"not an expression: {expr!r}")
     if keep:
-        if len(memo) >= NORMAL_MEMO_SIZE:
+        if len(memo) >= rootsys.CACHE_SIZE:  # a full memo starts over
             memo.clear()
         memo[expr] = result
     return result

@@ -140,7 +140,7 @@ def adapted_words(q: QDatum) -> Iterator[Word]:
     yield from _adapted_search(q)
 
 
-@lru_cache(maxsize=rootsys.WORD_CACHE_SIZE)
+@lru_cache(maxsize=rootsys.CACHE_SIZE)
 def some_adapted_word(q: QDatum) -> Word:
     """The first adapted word in the canonical search order, kept per Q-datum
     (pure Weyl combinatorics, so nothing can make it stale)."""

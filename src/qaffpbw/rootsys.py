@@ -51,11 +51,12 @@ def rank_from_digits(digits: str) -> int:
         raise RootSystemError(f"rank {digits} exceeds the limit {MAX_RANK}")
     return int(digits)
 
-# Word analyses kept at once, and the values derived per Q-datum (its adapted
-# word in ``qdata``, its checked datum in ``duality``); a cuspidal sequence or
-# an adapted-word search touches a handful of words and a session a handful of
-# Q-data, so this only bounds a long-running process.
-WORD_CACHE_SIZE = 1024
+# The one bound of every cache that grows with the input (word analyses here,
+# each Q-datum's adapted word in ``qdata`` and checked datum in ``duality``,
+# each type's normal forms in ``modexpr``); a full memo starts over.  A
+# benchmark pass fills none past a few hundred entries, so this only bounds a
+# long-running process.
+CACHE_SIZE = 1024
 
 
 class RootSystemError(ValueError):
@@ -164,7 +165,7 @@ def _root_data(type_letter: str, rank: int) -> _RootData:
     return _RootData(matrix, steps, simple, positive, roots, tuple(longest), star)
 
 
-@lru_cache(maxsize=WORD_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _word_data(type_letter: str, rank: int, word: Word) -> _WordData:
     for i in word:
         if i not in range(1, rank + 1):

@@ -23,6 +23,8 @@ DATUM_A2 = '{"affine":"A2^1","members":{"1":{"fund":[1,0]},"2":{"fund":[1,2]}}}'
 MISMATCHED_DENOMS = '{"type":"E8^1","zeros":{"1,1":[2]}}'  # not the --type of any call
 PROVENANCE = DATUM_A2[:-1] + ',"provenance":%s}'
 MEMBER_1 = '{"affine":"A2^1","members":{"1":%s,"2":{"fund":[1,2]}}}'
+# a member at a node off the A2 diagram
+OFF_DIAGRAM = '{"affine":"A2^1","members":{"1":{"fund":[9,0]}}}'
 
 
 def invoke(capsys, *argv):
@@ -404,6 +406,14 @@ def test_domain_error_exit_code(capsys):
                 '{"type":"D4^1","zeros":{"1,5":[2]}}', "--window", "0..3",
             ),
             "node pair (1, 5) out of range for D4^1",
+        ),
+        (
+            ("cuspidal", "--type", "A2^1", "--datum", OFF_DIAGRAM, "--word", "1", "--range", "1..1"),
+            "node 9 out of range for A2^1",
+        ),
+        (
+            ("cuspidal", "--type", "A2^1", "--datum", OFF_DIAGRAM, "--word", "1", "--range", "3..3"),
+            "node 9 out of range for A2^1",
         ),
     ],
 )

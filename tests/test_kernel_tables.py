@@ -308,6 +308,7 @@ def test_out_of_range_nodes_keep_their_errors(name):
             lambda: invariants._shift_profiles(info, [P(bad, 0), P(1, 0)]),
             lambda: invariants._shift_profiles(info, [P(1, 0), None, P(bad, 0)]),
             lambda: dual_point(info, P(bad, 0)),
+            lambda: dual_point(info, P(bad, 0), 2),
             lambda: denom_zeros(info, bad, 1),
             lambda: modexpr.head(info, [Fund(P(bad, 0)), Fund(P(1, 3))]),
         ):

@@ -17,7 +17,7 @@ import pytest
 from conftest import DEMO_D4
 from test_rewrite_differential import TYPES, _corpus, reference_normalize
 
-from qaffpbw import affine
+from qaffpbw import affine, rootsys
 from qaffpbw import modexpr as me
 from qaffpbw.affine import NoProviderError, SigmaPoint, type_info
 from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One
@@ -54,7 +54,7 @@ def test_second_normalize_matches_reference(monkeypatch, name, builtin):
     info = type_info(name)
     facts = FusionTable.builtin(info) if builtin else None
     _fresh(info)
-    monkeypatch.setattr(me, "NORMAL_MEMO_SIZE", 10**6)  # the whole corpus stays
+    monkeypatch.setattr(rootsys, "CACHE_SIZE", 10**6)  # the whole corpus stays
     corpus = _corpus(name)
     for expr in corpus:
         me.normalize(info, expr, facts)
@@ -130,7 +130,7 @@ def test_a_full_memo_starts_over(monkeypatch, size):
     info = type_info("A4^1")
     facts = FusionTable.builtin(info)
     _fresh(info)
-    monkeypatch.setattr(me, "NORMAL_MEMO_SIZE", size)
+    monkeypatch.setattr(rootsys, "CACHE_SIZE", size)
     for index, expr in enumerate(_corpus("A4^1")[:300]):
         for _ in range(2):
             assert me.normalize(info, expr, facts) == reference_normalize(info, expr, facts), index

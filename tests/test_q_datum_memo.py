@@ -1,12 +1,13 @@
 """The values kept per Q-datum: its adapted word and its checked datum.
 
 ``qdata.some_adapted_word`` is cached per ``QDatum`` value, bounded by
-``rootsys.WORD_CACHE_SIZE``.  ``duality.from_q_datum`` keeps its checked
+``rootsys.CACHE_SIZE``.  ``duality.from_q_datum`` keeps its checked
 datum in ``affine._derived(info)`` under ``"from_q"``, keyed by Q-datum; a
 full memo starts over at the same bound.  The checks below pin what the memo
 is dropped by (a registered or replaced denominator table), that it stays
-bounded, that a type without a table still gets the unchecked datum, and
-that the type checks run before the lookup.  The values themselves are
+bounded, that a type without a table still gets the unchecked datum, that
+the type checks run before the lookup, and that each datum built is checked
+through the public ``check_strong``.  The values themselves are
 compared with the uncached reference route in
 ``test_label_checks_differential.py``.
 """
@@ -22,7 +23,7 @@ from qaffpbw.affine import SigmaPoint, type_info
 from qaffpbw.duality import DualityError
 from qaffpbw.modexpr import Fund
 from qaffpbw.qdata import QDatum
-from qaffpbw.rootsys import WORD_CACHE_SIZE
+from qaffpbw.rootsys import CACHE_SIZE
 
 
 def _memo(info):
@@ -60,15 +61,15 @@ def test_a_new_table_changes_the_next_datum(restored_tables, table):
 def test_translated_heights_keep_the_memo_bounded():
     info = type_info("A1^1")
     affine._DERIVED.pop(info.name, None)
-    for c in range(WORD_CACHE_SIZE + 10):
+    for c in range(CACHE_SIZE + 10):
         q = QDatum("A", 1, (c,))
         datum = duality.from_q_datum(info, q)
-        assert len(_memo(info)) <= WORD_CACHE_SIZE
+        assert len(_memo(info)) <= CACHE_SIZE
         assert _memo(info)[q] is datum
     # the memo started over once, at the bound
     assert len(_memo(info)) == 10
-    assert qdata.some_adapted_word.cache_info().currsize <= WORD_CACHE_SIZE
-    assert datum.members == (Fund(SigmaPoint(1, WORD_CACHE_SIZE + 9)),)
+    assert qdata.some_adapted_word.cache_info().currsize <= CACHE_SIZE
+    assert datum.members == (Fund(SigmaPoint(1, CACHE_SIZE + 9)),)
 
 
 def test_a_type_without_a_table_returns_the_unchecked_datum(restored_tables):
@@ -92,3 +93,23 @@ def test_the_type_checks_run_before_the_lookup():
         duality.from_q_datum(type_info("A4^1"), q)
     with pytest.raises(DualityError, match="node map into I0 is not the identity"):
         duality.from_q_datum(type_info("A3^2"), q)
+
+
+def test_each_built_datum_is_checked_through_check_strong(monkeypatch):
+    """``check_strong`` is the one route to a report: it runs once per
+    ``from_q_datum`` miss, never on a hit, and once per reflection."""
+    checked = []
+    check_strong = duality.check_strong
+    monkeypatch.setattr(
+        duality, "check_strong", lambda datum: checked.append(datum.members) or check_strong(datum)
+    )
+    info = type_info("A3^1")
+    affine._DERIVED.pop(info.name, None)
+    qs = q_data("A", 3)
+    data = [duality.from_q_datum(info, q) for q in qs]
+    assert checked == [d.members for d in data]
+    assert [duality.from_q_datum(info, q) for q in qs] == data
+    assert len(checked) == len(qs)
+    image = duality.reflect(data[0], 1)
+    back = duality.reflect_inv(image, 1)
+    assert checked[len(qs):] == [image.members, back.members]
