@@ -493,10 +493,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand of ``build_parser()``, by name."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of one call; raises SystemExit on a usage error or help.
+
+    argparse's subparser action runs the named subcommand's parser on the
+    strings after the name once the top-level parser has scanned them all;
+    calling that parser directly skips the scan, and leftover strings go to
+    the top-level error as the action would send them.
+    """
     parser = build_parser()
+    command = _command_parsers().get(argv[0]) if argv else None
+    if command is None:  # no name, help, an unknown name or an option first
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def run(argv=None) -> int:
+    """Run one call of the command line (``sys.argv[1:]`` when argv is None)
+    and return its exit code.
+
+    A call naming a subcommand is parsed once, by that subcommand's parser;
+    every other call goes through the top-level parser, which alone prints the
+    top-level usage and help.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -69,6 +69,9 @@ class CuspidalSeq:
     """
 
     def __init__(self, datum: DualityDatum, word: Word, facts: FusionTable | None = None):
+        for member in datum.members:
+            if isinstance(member, Fund):
+                datum.info.star(member.point.node)  # refuses a node outside 1..rank
         self.datum = datum
         self._start(datum.info, _word_root_system(datum), word, facts)
         if not self.rs.spells_longest(self.word):

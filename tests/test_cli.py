@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qaffpbw import affine
+from qaffpbw import affine, cli
 from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
 from qaffpbw.rootsys import MAX_RANK
 
@@ -529,20 +529,37 @@ def test_a_non_integer_times_stays_a_usage_error(capsys, times):
     assert (code, out) == (2, "")
 
 
-@pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])
-def test_python_m_runs_the_cli(module):
+def _python_m(module, *argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify-examples"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("module", ["qaffpbw", "qaffpbw.cli"])
+def test_python_m_runs_the_cli(module):
+    proc = _python_m(module, "verify-examples")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0)])
+def test_python_m_reads_sys_argv(argv, code):
+    proc = _python_m("qaffpbw", *argv)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: qaffpbw")
+    else:
+        # each subcommand heads a line of the listing under "positional arguments"
+        listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("    ")}
+        assert set(SURFACE) <= listed
 
 
 def test_usage_error_exit_code(capsys):
@@ -685,9 +702,9 @@ REUSE_CALLS = [
 ]
 
 
-def _parsed(capsys, parser, argv):
+def _parsed(capsys, parse, argv):
     try:
-        args = parser.parse_args(argv)
+        args = parse(list(argv))
     except SystemExit as exc:
         args = exc.code
     return args, capsys.readouterr()
@@ -705,8 +722,39 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
             assert out == ""
         if argv in golden:
             assert (code, out) == (golden[argv]["code"], golden[argv]["stdout"])
-        fresh = build_parser.__wrapped__()
-        assert _parsed(capsys, build_parser(), argv) == _parsed(capsys, fresh, argv)
+        fresh = _parsed(capsys, build_parser.__wrapped__().parse_args, argv)
+        assert _parsed(capsys, build_parser().parse_args, argv) == fresh
+        assert _parsed(capsys, cli._parse, argv) == fresh
+
+
+def test_a_named_subcommand_is_parsed_once(monkeypatch, capsys):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    top = build_parser()
+    (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    for argv, code in [
+        (REFLECT, 0),
+        (SIGMA_QUIVER + ("--format", "dot"), 0),
+        (INVERSE + ("--no-such-flag",), 2),
+        (("roots", "-h"), 0),
+        (("roots",), 2),
+    ]:
+        parsers.clear()
+        assert invoke(capsys, *argv)[0] == code
+        assert parsers == [commands.choices[argv[0]]]
+    # the top-level parser alone prints the top-level usage and help
+    for argv, code in [((), 2), (("--help",), 0), (("no-such-command",), 2)]:
+        parsers.clear()
+        status, out, err = invoke(capsys, *argv)
+        assert status == code
+        assert parsers == [top]
+        assert (out if code == 0 else err).startswith("usage: qaffpbw [-h]")
 
 
 def _readme_commands() -> list[list[str]]:

@@ -14,8 +14,6 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
-
 from qaffpbw import affine, cli
 
 SEED = 20201
@@ -115,23 +113,30 @@ def _argv(command: str, flags: list) -> list[str]:
     return [command] + [flag if value is None else f"{flag}={value}" for flag, value in flags]
 
 
-def test_mutated_calls_keep_the_exit_contract(restored_tables):
+def corpus() -> list[tuple[str, list[str], int]]:
+    """The seeded cases: (subcommand, argv, mutations applied) for each."""
     rng = random.Random(SEED)
-    mutations = 0
-    commands = set()
+    cases = []
     for _ in range(CASES):
         command, base = rng.choice(BASE_CALLS)
         flags = list(base)
         applied = sum(_mutate(rng, flags) for _ in range(rng.choice((1, 1, 2))))
+        cases.append((command, _argv(command, flags), applied))
+    return cases
+
+
+def test_mutated_calls_keep_the_exit_contract(restored_tables):
+    mutations = 0
+    commands = set()
+    for command, argv, applied in corpus():
         mutations += applied > 0
         commands.add(command)
-        argv = _argv(command, flags)
         out, err = io.StringIO(), io.StringIO()
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.run(argv)
         except (Exception, SystemExit) as exc:  # any escape breaks the contract
-            pytest.fail(f"{argv!r} raised {type(exc).__name__}: {exc}")
+            raise AssertionError(f"{argv!r} raised {type(exc).__name__}: {exc}") from None
         assert code in (0, 1, 2), argv
         if code == 1 and not (command == "check-strong" and not err.getvalue()):
             assert "error" in json.loads(err.getvalue()), argv

@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_verify_cuspidal_axioms
 
 from qaffpbw import cuspidal, duality
-from qaffpbw.affine import SigmaPoint, type_info
+from qaffpbw.affine import AffineTypeError, SigmaPoint, type_info
 from qaffpbw.cuspidal import CuspidalSeq, _recursion_step
 from qaffpbw.duality import DualityError
 from qaffpbw.modexpr import Fund, FusionTable, Head
@@ -260,6 +260,16 @@ def test_word_root_system_refusals():
     swapped = duality.DualityDatum(info=type_info("A3^1"), members=members[1::-1] + members[2:])
     with pytest.raises(DualityError, match="not in the standard node numbering"):
         CuspidalSeq(swapped, (1, 2, 1, 3, 2, 1))
+
+
+@pytest.mark.parametrize("bad", [0, 3, 9])
+def test_off_diagram_members_are_refused(bad):
+    # a datum built in Python, not read from JSON: every window of its
+    # sequence raises the error datum_from_json gives for the same member
+    datum = duality.DualityDatum(info=type_info("A2^1"), members=(F(bad, 0),))
+    for lo, hi in ((1, 1), (2, 2), (3, 3)):
+        with pytest.raises(AffineTypeError, match=rf"^node {bad} out of range for A2\^1$"):
+            CuspidalSeq(datum, (1,)).range(lo, hi)
 
 
 def test_minimal_pair_tie_break_independence():
