@@ -214,7 +214,9 @@ class AffineTypeInfo:
 
     def sigma0_points(self, lo: int, hi: int) -> tuple[SigmaPoint, ...]:
         """All sigma0 labels with exponent in [lo, hi]: the one membership rule."""
-        base, period = _sigma0_lattice(self) if lo <= hi else ({}, 0)  # empty: no zeros read
+        if lo > hi:  # an empty window reads no zeros
+            return ()
+        base, period = _kept(_derived(self), "sigma0", _sigma0_lattice, self)
         return tuple(
             SigmaPoint(i, p)
             for p in range(lo, hi + 1)
@@ -313,60 +315,53 @@ def denom_zeros(info: AffineTypeInfo, i: int, j: int) -> tuple[int, ...]:
 def _zeros(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The type's dense table ``zeros[i][j]`` (row and column 0 empty), kept in
     ``_derived``; the given nodes are checked first, in order, then the provider."""
-    memo = _checked_memo(info, nodes)
-    zeros = memo.get("zeros")
-    if zeros is None:
-        span = range(1, info.rank + 1)
-        table = _EXTERNAL_TABLES.get(info.name)
-        if table is None and info.letter == "A" and info.twist == 1:
-            table = {(i, j): _a_type_zeros(info.rank, i, j) for i in span for j in span}
-        if table is None:
-            raise NoProviderError(f"{info.name}: no denominator table registered")
-        zeros = memo["zeros"] = ((),) + tuple(
-            ((),) + tuple(table.get((i, j), ()) for j in span) for i in span
-        )
-    return zeros
+    for node in nodes:
+        info.star(node)
+    return _kept(_derived(info), "zeros", _dense_zeros, info)
+
+
+def _dense_zeros(info: AffineTypeInfo) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    span = range(1, info.rank + 1)
+    table = _EXTERNAL_TABLES.get(info.name)
+    if table is None and info.letter == "A" and info.twist == 1:
+        table = {(i, j): _a_type_zeros(info.rank, i, j) for i in span for j in span}
+    if table is None:
+        raise NoProviderError(f"{info.name}: no denominator table registered")
+    return ((),) + tuple(
+        ((),) + tuple(table.get((i, j), ()) for j in span) for i in span
+    )
 
 
 def _offsets(info: AffineTypeInfo, *nodes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The type's d-support rows ``offsets[i][j] = zeros[i][j] + (-m for m in
     zeros[j][i])`` (row and column 0 empty), so d(V(i)_p, V(j)_{p+g}) is
     ``offsets[i][j].count(g)``; kept in ``_derived`` and checked as ``_zeros`` is."""
-    memo = _checked_memo(info, nodes)
-    offsets = memo.get("offsets")
-    if offsets is None:
-        zeros = _zeros(info)
-        span = range(1, info.rank + 1)
-        offsets = memo["offsets"] = ((),) + tuple(
-            ((),) + tuple(zeros[i][j] + tuple(-m for m in zeros[j][i]) for j in span)
-            for i in span
-        )
-    return offsets
-
-
-def _checked_memo(info: AffineTypeInfo, nodes) -> dict:
     for node in nodes:
-        if not 1 <= node <= info.rank:
-            raise AffineTypeError(f"node {node} out of range for {info.name}")
-    return _derived(info)
+        info.star(node)
+    return _kept(_derived(info), "offsets", _offset_rows, info)
+
+
+def _offset_rows(info: AffineTypeInfo) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    zeros = _zeros(info)
+    span = range(1, info.rank + 1)
+    return ((),) + tuple(
+        ((),) + tuple(zeros[i][j] + tuple(-m for m in zeros[j][i]) for j in span)
+        for i in span
+    )
 
 
 _DERIVED: dict[str, tuple[ZeroTable | None, dict]] = {}
 
 
 def _derived(info: AffineTypeInfo) -> dict:
-    """The memo of values derived from a type's zeros.
+    """The memo of values derived from a type's zeros, each read through ``_kept``.
 
-    A key names its value: ``"zeros"`` for the dense table of ``_zeros``,
-    ``"offsets"`` for the d-support rows of ``_offsets``,
-    ``"sigma0"`` for ``_sigma0_lattice``,
-    ``("lambda_inf", i, j, gap mod 2h)`` for ``invariants.lambda_inf_fund``,
-    ``"probe_basis"`` for ``modexpr._probe_basis``,
-    ``("profile_rows", probes)`` for the leaf rows of ``modexpr.block_profile``,
-    ``("normal", facts)`` for the normal forms of ``modexpr.normalize``
-    under the fusion table ``facts`` (or ``None``) and ``"from_q"`` for the
-    checked data of ``duality.from_q_datum``, keyed by Q-datum; these two
-    start over when full, at ``rootsys.CACHE_SIZE`` entries.
+    Values sized by the type are kept without a bound: the zero table, the
+    d-support rows, sigma0, the probe basis and the memos of Lambda8 by
+    (i, j, gap mod 2h) and of each probe tuple's leaf rows.  Memos keyed by
+    caller input are bounded: the normal forms and the checked data by
+    Q-datum, and this memo itself, which holds one memo per probe tuple and
+    per fusion table besides those few values.
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the
@@ -380,8 +375,28 @@ def _derived(info: AffineTypeInfo) -> dict:
     return entry[1]
 
 
+def _kept(memo: dict, key, build, *args, bounded: bool = False):
+    """``memo[key]``, or on a miss ``build(*args)``, kept under ``key``.
+
+    The one place the bound ``rootsys.CACHE_SIZE`` is applied to a memo: with
+    ``bounded`` (a key from caller input) a full memo starts over before the
+    new value is kept.  No value is None, so a miss costs no exception.  A
+    key that cannot be hashed (a list of factors) is built and not kept.
+    """
+    try:
+        value = memo.get(key)
+    except TypeError:
+        return build(*args)
+    if value is None:
+        value = build(*args)
+        if bounded and len(memo) >= rootsys.CACHE_SIZE:
+            memo.clear()
+        memo[key] = value
+    return value
+
+
 def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
-    """sigma0 as ({node: base exponent}, period).
+    """sigma0 as ({node: base exponent}, period); ``sigma0_points`` keeps it.
 
     sigma0 is the component of (1, 0) in the graph joining (i, p) to
     (j, p +- m) for each zero m of d_{i,j} or d_{j,i}.  A BFS over nodes fixes
@@ -390,10 +405,6 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
     base[j] modulo the gcd of all drifts (the period, 0 when there is none).
     The search meets every edge from both ends, which covers the step -m.
     """
-    memo = _derived(info)
-    cached = memo.get("sigma0")
-    if cached is not None:
-        return cached
     zeros = _zeros(info)
     base, frontier, period = {1: 0}, [1], 0
     while frontier:
@@ -404,7 +415,6 @@ def _sigma0_lattice(info: AffineTypeInfo) -> tuple[dict[int, int], int]:
                     base[j] = base[i] + m
                     frontier.append(j)
                 period = gcd(period, base[i] + m - base[j])
-    memo["sigma0"] = base, period
     return base, period
 
 

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from . import affine, invariants, modexpr, rootsys
+from . import affine, invariants, modexpr
 from .affine import AffineTypeInfo, NoProviderError, SigmaPoint, type_info
 from .modexpr import Expr, Fund, FusionTable, Verdict
 from .qdata import QDatum, fundamental_labels
@@ -328,13 +328,8 @@ def from_q_datum(info: AffineTypeInfo, q: QDatum) -> DualityDatum:
             f"Q-datum type {q.type_letter}{q.rank} does not match the "
             f"associated finite type {info.fin_type} of {info.name}"
         )
-    memo = affine._derived(info).setdefault("from_q", {})
-    datum = memo.get(q)
-    if datum is None:
-        if len(memo) >= rootsys.CACHE_SIZE:  # a full memo starts over
-            memo.clear()
-        datum = memo[q] = _checked_from_q(info, q)
-    return datum
+    memo = affine._kept(affine._derived(info), "from_q", dict)
+    return affine._kept(memo, q, _checked_from_q, info, q, bounded=True)
 
 
 def _checked_from_q(info: AffineTypeInfo, q: QDatum) -> DualityDatum:

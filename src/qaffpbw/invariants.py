@@ -149,13 +149,15 @@ def lambda_inf_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:
     h = info.dual_shift_exponent
     if h is None:
         raise NoProviderError(f"{info.name}: no dual shift on labels")
-    memo = affine._derived(info)
-    key = ("lambda_inf", x.node, y.node, (x.power - y.power) % (2 * h))
-    value = memo.get(key)
-    if value is None:
-        de_tilde, zero_c = _tails(info, SigmaPoint(x.node, key[3]), SigmaPoint(y.node, 0))
-        value = memo[key] = zero_c - de_tilde
-    return value
+    memo = affine._kept(affine._derived(info), "lambda_inf", dict)
+    key = (x.node, y.node, (x.power - y.power) % (2 * h))
+    return affine._kept(memo, key, _lambda_inf, info, key)
+
+
+def _lambda_inf(info: AffineTypeInfo, key: tuple[int, int, int]) -> int:
+    i, j, gap = key
+    de_tilde, zero_c = _tails(info, SigmaPoint(i, gap), SigmaPoint(j, 0))
+    return zero_c - de_tilde
 
 
 def de_tilde_fund(info: AffineTypeInfo, x: SigmaPoint, y: SigmaPoint) -> int:

@@ -63,7 +63,7 @@ from operator import add
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from . import affine, invariants, rootsys
+from . import affine, invariants
 from ._linalg import pivot_columns
 from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
 
@@ -394,10 +394,7 @@ def normalize(
     """
     memo = None
     if rng is None:
-        derived = affine._derived(info)
-        memo = derived.get(("normal", facts))
-        if memo is None:
-            memo = derived["normal", facts] = {}
+        memo = affine._kept(affine._derived(info), ("normal", facts), dict, bounded=True)
     return _normal(info, expr, facts, rng, memo)
 
 
@@ -410,28 +407,26 @@ def _normal(
 ) -> Expr:
     if expr is One or isinstance(expr, Fund):
         return expr
-    keep = memo is not None
-    if keep:
-        try:
-            cached = memo.get(expr)
-        except TypeError:  # unhashable (factors given as a list): not kept
-            keep = False
-        else:
-            if cached is not None:
-                return cached
+    if memo is None:
+        return _rewritten(info, expr, facts, rng, memo)
+    return affine._kept(memo, expr, _rewritten, info, expr, facts, rng, memo, bounded=True)
+
+
+def _rewritten(
+    info: AffineTypeInfo,
+    expr: Expr,
+    facts: FusionTable | None,
+    rng: Random | None,
+    memo: dict | None,
+) -> Expr:
+    """The normal form of a head or dual from the normal forms of its parts."""
     if isinstance(expr, Head):
         inner = [_normal(info, f, facts, rng, memo) for f in expr.factors]
-        result = _normalize_head(info, inner, facts, rng)
-    elif isinstance(expr, Dual):
+        return _normalize_head(info, inner, facts, rng)
+    if isinstance(expr, Dual):
         body = _normal(info, expr.inner, facts, rng, memo)
-        result = _push_dual(info, expr.shift, body, facts, rng)
-    else:
-        raise TypeError(f"not an expression: {expr!r}")
-    if keep:
-        if len(memo) >= rootsys.CACHE_SIZE:  # a full memo starts over
-            memo.clear()
-        memo[expr] = result
-    return result
+        return _push_dual(info, expr.shift, body, facts, rng)
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _push_dual(
@@ -518,16 +513,15 @@ def block_profile(
         return tuple(total)
     probes = tuple(probes)
     period = 2 * info.dual_shift_exponent  # dual_point has checked it exists
-    rows = affine._derived(info).setdefault(("profile_rows", probes), {})
+    rows = affine._kept(affine._derived(info), ("profile_rows", probes), dict, bounded=True)
     for leaf in leaves:
-        key = (leaf.node, leaf.power % period)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = tuple(
-                invariants.lambda_inf_fund(info, leaf, probe) for probe in probes
-            )
+        row = affine._kept(rows, (leaf.node, leaf.power % period), _leaf_row, info, leaf, probes)
         total = list(map(add, total, row))
     return tuple(total)
+
+
+def _leaf_row(info: AffineTypeInfo, leaf: SigmaPoint, probes) -> tuple[int, ...]:
+    return tuple(invariants.lambda_inf_fund(info, leaf, probe) for probe in probes)
 
 
 def _probe_window(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
@@ -543,16 +537,12 @@ def _probe_basis(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
     A difference of two window profiles thus lies in the Gram matrix's row
     space, where a vector that vanishes on the pivot columns (they span all
     columns) vanishes.  The basis therefore separates exactly what the
-    window does, with ``rank`` members on A_n^(1).  It is kept in the
-    type's memo.
+    window does, with ``rank`` members on A_n^(1).  ``equal`` keeps it in
+    the type's memo.
     """
-    memo = affine._derived(info)
-    basis = memo.get("probe_basis")
-    if basis is None:
-        window = _probe_window(info)
-        gram = [[invariants.lambda_inf_fund(info, x, y) for y in window] for x in window]
-        basis = memo["probe_basis"] = tuple(window[c] for c in pivot_columns(gram))
-    return basis
+    window = _probe_window(info)
+    gram = [[invariants.lambda_inf_fund(info, x, y) for y in window] for x in window]
+    return tuple(window[c] for c in pivot_columns(gram))
 
 
 def equal(
@@ -568,7 +558,7 @@ def equal(
         return Verdict.EQUAL
     if all(n is One or isinstance(n, Fund) for n in (n1, n2)):
         return Verdict.DISTINCT
-    probes = _probe_basis(info)
+    probes = affine._kept(affine._derived(info), "probe_basis", _probe_basis, info)
     if block_profile(info, n1, probes) != block_profile(info, n2, probes):
         return Verdict.DISTINCT
     return Verdict.UNKNOWN

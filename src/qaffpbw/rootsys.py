@@ -51,11 +51,12 @@ def rank_from_digits(digits: str) -> int:
         raise RootSystemError(f"rank {digits} exceeds the limit {MAX_RANK}")
     return int(digits)
 
-# The one bound of every cache that grows with the input (word analyses here,
-# each Q-datum's adapted word in ``qdata`` and checked datum in ``duality``,
-# each type's normal forms in ``modexpr``); a full memo starts over.  A
-# benchmark pass fills none past a few hundred entries, so this only bounds a
-# long-running process.
+# The one bound of every cache that grows with the input: the LRU caches of
+# word analyses here and of adapted words in ``qdata``, and in a type's memo
+# (``affine._derived``) the memos keyed by probe tuple, fusion table,
+# expression and Q-datum, which ``affine._kept`` alone starts over when full.
+# Memos sized by the type are not bounded.  A benchmark pass fills none past
+# a few hundred entries, so this only bounds a long-running process.
 CACHE_SIZE = 1024
 
 

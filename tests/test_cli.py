@@ -523,6 +523,15 @@ def test_bounds_past_the_int_digit_limit_are_refused(capsys, flag):
         assert json.loads(err)["error"] == f"{flag} must be lo..hi, got {text!r}"
 
 
+def test_a_negative_times_is_refused(capsys):
+    code, out, err = invoke(capsys, *_numbered("--times", "-1"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "--times must be in 0..100"}
+    # zero reflections stay allowed: the datum comes back as given
+    code, out, _ = invoke(capsys, *_numbered("--times", "0"))
+    assert code == 0 and json.loads(out)["provenance"] == "from-Q"
+
+
 @pytest.mark.parametrize("times", ["x", "1.5", "+-5", "--5", "9__9", NINES + "x", "0x10"])
 def test_a_non_integer_times_stays_a_usage_error(capsys, times):
     code, out, _ = invoke(capsys, *_numbered("--times", times))

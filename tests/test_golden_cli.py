@@ -15,8 +15,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
-
 from qaffpbw.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
@@ -94,14 +92,15 @@ def test_golden_requests_are_recorded():
     assert [entry["argv"] for entry in _golden()] == REQUESTS
 
 
-@pytest.mark.parametrize(
-    "n", range(len(REQUESTS)), ids=[f"{n}-{argv[0]}" for n, argv in enumerate(REQUESTS)]
-)
-def test_golden_cli_output(n):
-    assert invoke(REQUESTS[n]) == _golden()[n]
-
-
 if __name__ == "__main__":
     calls = [invoke(argv) for argv in REQUESTS]
     GOLDEN.write_text(json.dumps({"calls": calls}, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(calls)} calls to {GOLDEN}", file=sys.stderr)
+else:  # only this test needs pytest, so the recording above runs without it
+    import pytest
+
+    @pytest.mark.parametrize(
+        "n", range(len(REQUESTS)), ids=[f"{n}-{argv[0]}" for n, argv in enumerate(REQUESTS)]
+    )
+    def test_golden_cli_output(n):
+        assert invoke(REQUESTS[n]) == _golden()[n]

@@ -6,7 +6,8 @@ expression it reaches in ``affine._derived(info)`` under
 memo with ``reference_normalize`` (the rewrite engine's differential
 reference), and pin what the memo is keyed and dropped by: the table of
 zeros, the value of the fusion table, and the seeded schedule, which never
-touches it.
+touches it.  With ``rootsys.CACHE_SIZE`` small, the memo and the type's memos
+per fusion table and per probe tuple of ``block_profile`` stay bounded.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import random
 
 import pytest
 from conftest import DEMO_D4
+from test_lambda_inf_memo import reference_lambda_inf
 from test_rewrite_differential import TYPES, _corpus, reference_normalize
 
 from qaffpbw import affine, rootsys
 from qaffpbw import modexpr as me
 from qaffpbw.affine import NoProviderError, SigmaPoint, type_info
-from qaffpbw.modexpr import Dual, Fund, FusionTable, Head, One
+from qaffpbw.modexpr import Dual, Fund, FusionFact, FusionTable, Head, One
 
 P = SigmaPoint
 
@@ -125,6 +127,10 @@ def test_a_schedule_neither_reads_nor_fills_the_memo(name):
     _fresh(info)
 
 
+def _keys_of_kind(info, kind):
+    return [key for key in affine._derived(info) if isinstance(key, tuple) and key[0] == kind]
+
+
 @pytest.mark.parametrize("size", (1, 7))
 def test_a_full_memo_starts_over(monkeypatch, size):
     info = type_info("A4^1")
@@ -135,6 +141,21 @@ def test_a_full_memo_starts_over(monkeypatch, size):
         for _ in range(2):
             assert me.normalize(info, expr, facts) == reference_normalize(info, expr, facts), index
             assert len(_memo(info, facts)) <= size
+    # each probe tuple of block_profile and each fusion table keys a memo of
+    # its own in the type's memo: many distinct ones leave at most `size`
+    points = (P(1, 0), P(2, 3), P(4, 7))
+    expr = Head(tuple(Fund(x) for x in points))
+    window = me._probe_window(info)
+    for n in range(60):
+        probes = (window[n % len(window)], P(1 + n % 4, n))
+        expected = tuple(sum(reference_lambda_inf(info, x, y) for x in points) for y in probes)
+        assert me.block_profile(info, expr, probes) == expected, probes
+        assert ("profile_rows", probes) in affine._derived(info)
+        assert len(_keys_of_kind(info, "profile_rows")) <= size
+        facts = FusionTable(info, [FusionFact(P(1, 0), P(2, 3), P(3, n))])
+        assert me.normalize(info, expr, facts) == reference_normalize(info, expr, facts), n
+        assert _memo(info, facts) is not None
+        assert len(_keys_of_kind(info, "normal")) <= size
     _fresh(info)
 
 
