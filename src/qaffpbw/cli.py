@@ -1,8 +1,9 @@
 """Command-line front end.
 
-All mathematics flows through the library; this layer only parses flags,
-loads JSON payloads, and emits deterministic documents (sorted keys, no
-timestamps).  Exit codes: 0 success, 1 domain error, 2 usage error.
+All mathematics flows through the library; ``run`` parses flags, loads JSON
+payloads and prints what a subcommand returns, a deterministic document
+(sorted keys, no timestamps) or a text.  Exit codes: 0 success, 1 domain
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ def _payload(text: str, flag: str):
         return json.loads(Path(text[1:]).read_text() if text.startswith("@") else text)
     except (OSError, ValueError, RecursionError) as err:  # RecursionError: deep nesting
         raise ValueError(f"{flag}: {err}") from err
-
-
-def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True))
 
 
 def _point(text: str, flag: str) -> SigmaPoint:
@@ -107,21 +104,6 @@ def _range(text: str, flag: str, limit: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_qdatum(info, text: str | None) -> QDatum:
-    if text is None:
-        raise qdata.QDatumError("--q is required")
-    data = _payload(text, "--q")
-    if not isinstance(data, dict):
-        raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
-    letter, rank = info.fin_type
-    given = data.get("fin_type", letter), json_int(data.get("rank", rank), "--q field 'rank'")
-    if given != (letter, rank):
-        raise qdata.QDatumError(
-            f"--q is for {given[0]}{given[1]}, not {letter}{rank} of --type {info.name}"
-        )
-    return qdata.qdatum_from_json({**data, "fin_type": letter, "rank": rank})
-
-
 def _load_facts(info, text: str | None) -> FusionTable:
     table = FusionTable.builtin(info)
     if text:
@@ -131,19 +113,29 @@ def _load_facts(info, text: str | None) -> FusionTable:
     return table
 
 
-def _typed_datum(info, text: str) -> duality.DualityDatum:
-    datum = duality.datum_from_json(_payload(text, "--datum"))
-    if datum.info.name != info.name:
-        raise duality.DualityError(f"--datum is for {datum.info.name}, not --type {info.name}")
-    return datum
-
-
-def _load_datum(info, args) -> duality.DualityDatum:
-    if args.datum:
-        return _typed_datum(info, args.datum)
+def _load_datum(info, args) -> QDatum | duality.DualityDatum:
+    """The duality datum of --datum, else the Q-datum of --q; a subcommand that
+    takes both flags reads --q as the canonical duality datum of its Q-datum."""
+    takes = vars(args)
+    if takes.get("datum") or "q" not in takes:
+        datum = duality.datum_from_json(_payload(args.datum, "--datum"))
+        if datum.info.name != info.name:
+            raise duality.DualityError(f"--datum is for {datum.info.name}, not --type {info.name}")
+        return datum
     if args.q is None:
-        raise qdata.QDatumError("--q or --datum is required")
-    return duality.from_q_datum(info, _load_qdatum(info, args.q))
+        required = "--q or --datum" if "datum" in takes else "--q"
+        raise qdata.QDatumError(f"{required} is required")
+    data = _payload(args.q, "--q")
+    if not isinstance(data, dict):
+        raise qdata.QDatumError(f"--q must be a JSON object, got {data!r}")
+    letter, rank = info.fin_type
+    given = data.get("fin_type", letter), json_int(data.get("rank", rank), "--q field 'rank'")
+    if given != (letter, rank):
+        raise qdata.QDatumError(
+            f"--q is for {given[0]}{given[1]}, not {letter}{rank} of --type {info.name}"
+        )
+    q = qdata.qdatum_from_json({**data, "fin_type": letter, "rank": rank})
+    return duality.from_q_datum(info, q) if "datum" in takes else q
 
 
 def _load_denoms(info, text: str | None) -> None:
@@ -163,10 +155,10 @@ def _check_type(info, data, flag: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result, a JSON document or a text
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> dict:
     rs = _fin(args.fin)
     if args.word:
         word = _word(args.word)
@@ -178,124 +170,82 @@ def _cmd_roots(args) -> int:
         if doc["reduced"]:
             doc["betas"] = [list(b) for b in rs.beta_sequence(word)]
             doc["spells_longest"] = rs.spells_longest(word)
-    else:
-        doc = {
-            "fin_type": args.fin,
-            "longest_word": list(rs.longest_word()),
-            "positive_roots": [list(b) for b in rs.positive_roots()],
-            "star": {str(i): rs.star(i) for i in rs.nodes},
-        }
-    _emit(doc)
-    return 0
+        return doc
+    return {
+        "fin_type": args.fin,
+        "longest_word": list(rs.longest_word()),
+        "positive_roots": [list(b) for b in rs.positive_roots()],
+        "star": {str(i): rs.star(i) for i in rs.nodes},
+    }
 
 
-def _cmd_adapted(args) -> int:
-    info = _type(args.type, "--type")
-    q = _load_qdatum(info, args.q)
+def _cmd_adapted(args, info, q) -> dict:
     if args.word:
         word = _word(args.word)
-        _emit({"word": list(word), "adapted": qdata.is_adapted(q, word)})
-    else:
-        words = [list(w) for w in qdata.adapted_words(q)]
-        _emit({"count": len(words), "adapted_words": words})
-    return 0
+        return {"word": list(word), "adapted": qdata.is_adapted(q, word)}
+    words = [list(w) for w in qdata.adapted_words(q)]
+    return {"count": len(words), "adapted_words": words}
 
 
-def _cmd_phi(args) -> int:
-    info = _type(args.type, "--type")
-    q = _load_qdatum(info, args.q)
+def _cmd_phi(args, info, q) -> dict:
     word = _word(args.word) if args.word else qdata.some_adapted_word(q)
     mapping = qdata.phi(q, word)
-    doc = {
+    return {
         "word": list(word),
         "labels": [
             {"root": list(beta), "point": [pt.node, pt.power]}
             for beta, pt in mapping.items()
         ],
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_datum_from_q(args) -> int:
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
-    datum = duality.from_q_datum(info, _load_qdatum(info, args.q))
-    doc = duality.datum_to_json(datum)
-    doc["strength"] = datum.strength
-    doc["complete"] = datum.complete
-    _emit(doc)
-    return 0
+def _datum_doc(datum: duality.DualityDatum) -> dict:
+    return {**duality.datum_to_json(datum), "strength": datum.strength, "complete": datum.complete}
 
 
-def _cmd_reflect(args) -> int:
-    if args.times is None or not 0 <= args.times <= MAX_TIMES:
-        raise ValueError(f"--times must be in 0..{MAX_TIMES}")
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
-    facts = _load_facts(info, args.facts)
-    datum = _load_datum(info, args)
+def _cmd_datum_from_q(args, info, q) -> dict:
+    return _datum_doc(duality.from_q_datum(info, q))
+
+
+def _cmd_reflect(args, info, facts, datum) -> dict:
+    if not 1 <= args.node <= datum.size:  # also when --times is 0
+        raise duality.DualityError(f"node {args.node} out of range")
     op = duality.reflect_inv if args.inverse else duality.reflect
     for _ in range(args.times):
         datum = op(datum, args.node, facts)
-    doc = duality.datum_to_json(datum)
-    doc["strength"] = datum.strength
-    doc["complete"] = datum.complete
-    _emit(doc)
-    return 0
+    return _datum_doc(datum)
 
 
-def _cmd_cuspidal(args) -> int:
-    lo, hi = _range(args.range, "--range", MAX_RANGE)
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
-    facts = _load_facts(info, args.facts)
-    datum = _load_datum(info, args)
+def _cmd_cuspidal(args, info, facts, datum, span) -> list:
+    lo, hi = span
     seq = CuspidalSeq(datum, _word(args.word), facts)
-    doc = [{"k": k, "label": modexpr.expr_to_json(seq.materialize(k))} for k in range(lo, hi + 1)]
-    _emit(doc)
-    return 0
+    return [{"k": k, "label": modexpr.expr_to_json(seq.materialize(k))} for k in range(lo, hi + 1)]
 
 
-def _cmd_invariant(args) -> int:
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
+def _cmd_invariant(args, info) -> dict | str:
     value = _INVARIANT_KINDS[args.kind](info, _point(args.x, "--x"), _point(args.y, "--y"))
-    if args.format == "text":
-        print(value)
-    else:
-        _emit({"kind": args.kind, "value": value})
-    return 0
+    return str(value) if args.format == "text" else {"kind": args.kind, "value": value}
 
 
-def _cmd_decompose(args) -> int:
-    info = _type(args.type, "--type")
-    q = _load_qdatum(info, args.q)
+def _cmd_decompose(args, info, q) -> dict:
     word = _word(args.word) if args.word else qdata.some_adapted_word(q)
     seq = FundamentalCuspidalSeq(info, q, word)
     multiset = pbw.multiset_from_json(_payload(args.multiset, "--multiset"))
-    vec = pbw.decompose(multiset, seq)
-    _emit(pbw.expvec_to_json(vec))
-    return 0
+    return pbw.expvec_to_json(pbw.decompose(multiset, seq))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     a = pbw.expvec_from_json(_payload(args.a, "--a"))
     b = pbw.expvec_from_json(_payload(args.b, "--b"))
-    doc = {
+    return {
         "bilex": pbw.cmp_bilex(a, b).value,
         "left": pbw.cmp_left(a, b),
         "right": pbw.cmp_right(a, b),
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_sigma_quiver(args) -> int:
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
-    lo, hi = _range(args.window, "--window", MAX_WINDOW)
-    vertices, arrows = affine.sigma_quiver(info, lo, hi)
+def _cmd_sigma_quiver(args, info, span) -> dict | str:
+    vertices, arrows = affine.sigma_quiver(info, *span)
     if args.format == "dot":
         lines = ["digraph sigma0 {"]
         for v in vertices:
@@ -306,23 +256,17 @@ def _cmd_sigma_quiver(args) -> int:
                     f'  "{src.node}_{src.power}" -> "{dst.node}_{dst.power}";'
                 )
         lines.append("}")
-        print("\n".join(lines))
-        return 0
-    doc = {
+        return "\n".join(lines)
+    return {
         "vertices": [[v.node, v.power] for v in vertices],
         "arrows": [
             {"from": [a.node, a.power], "to": [b.node, b.power], "mult": m}
             for a, b, m in arrows
         ],
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_check_strong(args) -> int:
-    info = _type(args.type, "--type")
-    _load_denoms(info, args.denoms)
-    datum = _typed_datum(info, args.datum)
+def _cmd_check_strong(args, info, datum) -> dict:
     report = duality.check_strong(datum)
     doc = {
         "overall": report.overall,
@@ -334,73 +278,55 @@ def _cmd_check_strong(args) -> int:
         doc["cartan_type"] = [
             f"{letter}{rank}" for letter, rank in duality.classify_cartan(report.cartan)
         ]
-    _emit(doc)
-    return 0 if report.overall == "pass" else 1
+    return doc
 
 
-def _cmd_verify_examples(args) -> int:
-    checks = _example_corpus()
-    failures = 0
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
-
-
-def _example_corpus() -> list[tuple[str, bool]]:
+def _cmd_verify_examples(args) -> str:
     info = type_info("A2^1")
     facts = FusionTable.builtin(info)
     P = SigmaPoint
     datum = duality.from_q_datum(info, QDatum("A", 2, (0, 1)))
-    out: list[tuple[str, bool]] = []
-
-    seq = CuspidalSeq(datum, (1, 2, 1), facts)
-    expected = [P(1, 0), P(2, 1), P(1, 2), P(2, 3), P(1, 4), P(2, 5)]
-    out.append(
+    head = Head((Fund(P(1, 2)), Fund(P(1, 0))))
+    s1 = duality.reflect(datum, 1, facts)
+    s2 = duality.reflect(datum, 2, facts)
+    checks = [
         (
             "cuspidal sequence of the base datum, word 1,2,1",
-            seq.range(1, 6) == [Fund(x) for x in expected],
-        )
-    )
-    seq2 = CuspidalSeq(datum, (2, 1, 2), facts)
-    out.append(
+            CuspidalSeq(datum, (1, 2, 1), facts).range(1, 6)
+            == [Fund(P(i, p)) for i, p in ((1, 0), (2, 1), (1, 2), (2, 3), (1, 4), (2, 5))],
+        ),
         (
             "cuspidal sequence of the base datum, word 2,1,2",
-            seq2.range(1, 3)
-            == [Fund(P(1, 2)), Head((Fund(P(1, 2)), Fund(P(1, 0)))), Fund(P(1, 0))],
-        )
-    )
-    s1 = duality.reflect(datum, 1, facts)
-    out.append(("first reflection", s1.members == (Fund(P(2, 3)), Fund(P(2, 1)))))
-    s2 = duality.reflect(datum, 2, facts)
-    out.append(
+            CuspidalSeq(datum, (2, 1, 2), facts).range(1, 3)
+            == [Fund(P(1, 2)), head, Fund(P(1, 0))],
+        ),
+        ("first reflection", s1.members == (Fund(P(2, 3)), Fund(P(2, 1)))),
+        ("second reflection", s2.members == (head, Fund(P(2, 5)))),
         (
-            "second reflection",
-            s2.members == (Head((Fund(P(1, 2)), Fund(P(1, 0)))), Fund(P(2, 5))),
-        )
-    )
-    nested = Head((Head((Fund(P(1, 2)), Fund(P(1, 0)))), Fund(P(2, 5))))
-    out.append(
-        ("cancellation rewrite", modexpr.normalize(info, nested) == Fund(P(1, 0)))
-    )
-    ok1, _ = cuspidal.refl_shift_check(datum, (1, 2, 1), facts)
-    ok2, _ = cuspidal.refl_shift_check(datum, (2, 1, 2), facts)
-    out.append(("reflection shifts the cuspidal sequence, word 1,2,1", ok1))
-    out.append(("reflection shifts the cuspidal sequence, word 2,1,2", ok2))
+            "cancellation rewrite",
+            modexpr.normalize(info, Head((head, Fund(P(2, 5))))) == Fund(P(1, 0)),
+        ),
+    ]
+    for word in ("1,2,1", "2,1,2"):
+        ok, _ = cuspidal.refl_shift_check(datum, _word(word), facts)
+        checks.append((f"reflection shifts the cuspidal sequence, word {word}", ok))
     back = duality.reflect_inv(s2, 2, facts)
-    out.append(
-        (
-            "inverse reflection restores the datum",
-            duality.datum_equal(back, datum, facts) is Verdict.EQUAL,
-        )
-    )
-    return out
+    restored = duality.datum_equal(back, datum, facts) is Verdict.EQUAL
+    checks.append(("inverse reflection restores the datum", restored))
+    return "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks)
+
+
+# The subcommands whose printed result can fail the call, which then exits 1.
+_FAILED = {
+    "check-strong": lambda doc: doc["overall"] != "pass",
+    "verify-examples": lambda text: any(line.startswith("FAIL") for line in text.splitlines()),
+}
 
 
 # ---------------------------------------------------------------------------
 
 
-# Flags that several subcommands take; each subcommand names the ones it reads.
+# Flags that several subcommands take, read by ``run``; each subcommand names its own.
 _SHARED_FLAGS = {
     "--type": {"required": True, "help": "affine type, e.g. A2^1"},
     "--q": {"help": 'Q-datum JSON, e.g. {"xi":{"1":0,"2":1}}'},
@@ -524,17 +450,37 @@ def run(argv=None) -> int:
 
     A call naming a subcommand is parsed once, by that subcommand's parser;
     every other call goes through the top-level parser, which alone prints the
-    top-level usage and help.
+    top-level usage and help.  Flags are then read in one order, the bounds
+    (--range, --window, --times) first, then --type, --denoms, --facts and --q
+    or --datum, so a refused call has read no later payload.  The subcommand
+    gets their objects (``span``, ``info``, ``facts``, ``q`` or ``datum``).
     """
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    given, ready = vars(args), {}
     try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError) as err:  # the library's errors are ValueErrors
+        for flag, limit in (("range", MAX_RANGE), ("window", MAX_WINDOW)):
+            if flag in given:
+                ready["span"] = _range(given[flag], f"--{flag}", limit)
+        if "times" in given and (args.times is None or not 0 <= args.times <= MAX_TIMES):
+            raise ValueError(f"--times must be in 0..{MAX_TIMES}")
+        if "type" in given:
+            info = ready["info"] = _type(args.type, "--type")
+            _load_denoms(info, given.get("denoms"))
+            if "facts" in given:
+                ready["facts"] = _load_facts(info, args.facts)
+            if "q" in given or "datum" in given:  # a subcommand taking --datum gets a datum
+                ready["datum" if "datum" in given else "q"] = _load_datum(info, args)
+        result = args.func(args, **ready)
+    except (ValueError, KeyError, OSError, RecursionError) as err:
+        # the library raises ValueErrors; RecursionError: a member nested too deep
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
+    print(result if isinstance(result, str) else json.dumps(result, sort_keys=True))
+    failed = _FAILED.get(args.command)
+    return 1 if failed and failed(result) else 0
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qaffpbw import affine, cli
+from qaffpbw import affine, cli, duality
 from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
 from qaffpbw.rootsys import MAX_RANK
 
@@ -530,6 +530,67 @@ def test_a_negative_times_is_refused(capsys):
     # zero reflections stay allowed: the datum comes back as given
     code, out, _ = invoke(capsys, *_numbered("--times", "0"))
     assert code == 0 and json.loads(out)["provenance"] == "from-Q"
+
+
+@pytest.mark.parametrize("node", ["99", "0"])
+def test_reflect_checks_the_node_before_any_reflection(capsys, node):
+    for times in ("0", "1"):
+        argv = ("reflect", "--type", "A2^1", "--q", Q_A2, "--node", node, "--times", times)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), times
+        assert json.loads(err) == {"error": f"node {node} out of range"}
+
+
+def test_bounds_are_refused_before_any_payload_loads(capsys, restored_tables):
+    affine._EXTERNAL_TABLES.pop("D4^1", None)
+    denoms = json.dumps({"type": "D4^1", "zeros": {"1,1": [2, 6], "2,2": [2, 4, 6]}})
+    code, out, err = invoke(
+        capsys, "sigma-quiver", "--type", "D4^1", "--denoms", denoms, "--window", "0..5000"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "--window 0..5000 spans 5001 values; the limit is 200"}
+    assert "D4^1" not in affine._EXTERNAL_TABLES
+
+
+def _nested(kind: str, depth: int) -> dict:
+    """A member `depth` levels deep: duals whose shifts cancel in pairs, or
+    heads of one factor; either normalizes to one fundamental."""
+    member = {"fund": [1, 0]}
+    for level in range(depth):
+        if kind == "dual":
+            member = {"dual": {"k": 1 - 2 * (level % 2), "of": member}}
+        else:
+            member = {"head": [member]}
+    return member
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# With this many frames above the test, each member decodes on Python
+# 3.10-3.13, and reflect and cuspidal then recurse through it past the limit.
+@pytest.mark.parametrize("kind, depth, headroom", [("dual", 330, 850), ("head", 270, 700)])
+def test_a_deeply_nested_member_is_a_domain_error(capsys, kind, depth, headroom):
+    datum = json.dumps({"affine": "A1^1", "members": {"1": _nested(kind, depth)}})
+    calls = [
+        ("reflect", "--type", "A1^1", "--datum", datum, "--node", "1"),
+        ("cuspidal", "--type", "A1^1", "--datum", datum, "--word", "1", "--range", "1..3"),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    try:
+        decoded = duality.datum_from_json(datum)
+        results = [invoke(capsys, *argv) for argv in calls]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert decoded.size == 1
+    for code, out, err in results:
+        assert (code, out) == (1, "")
+        assert "recursion" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("times", ["x", "1.5", "+-5", "--5", "9__9", NINES + "x", "0x10"])

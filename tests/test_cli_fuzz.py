@@ -4,7 +4,9 @@ Each case takes one base request (all twelve subcommands are covered) and
 applies one or two mutations: truncate a flag value, swap in a junk JSON
 scalar, list or object, replace a field nested inside a JSON payload, or
 drop a flag.  An exit 1 must put a JSON ``{"error": ...}`` on stderr, except
-for ``check-strong``, whose failing report goes to stdout.
+for ``check-strong``, whose failing report goes to stdout.  Stdout stays empty
+on exit 2 and on every other exit 1, and an exit 0 prints one line of JSON
+unless the call asks for text (``--format text|dot``, ``verify-examples``).
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ BASE_CALLS = [
     ("check-strong", [("--type", "A2^1"), ("--datum", DATUM_A2)]),
     ("verify-examples", []),
 ]
+
+# the calls that print a text; every other call prints one line of JSON
+TEXT_FORMATS = {"--format=text", "--format=dot"}
 
 JUNK = [
     "0", "-1", "7", "1.5", "1e400", "true", "null", '""', '"x"', '"1..2"',
@@ -138,9 +143,15 @@ def test_mutated_calls_keep_the_exit_contract(restored_tables):
         except (Exception, SystemExit) as exc:  # any escape breaks the contract
             raise AssertionError(f"{argv!r} raised {type(exc).__name__}: {exc}") from None
         assert code in (0, 1, 2), argv
+        printed = out.getvalue()
+        if code == 2 or (code == 1 and command != "check-strong"):
+            assert printed == "", argv
         if code == 1 and not (command == "check-strong" and not err.getvalue()):
             assert "error" in json.loads(err.getvalue()), argv
         elif code == 1:
-            assert json.loads(out.getvalue())["overall"] == "fail", argv
+            assert json.loads(printed)["overall"] == "fail", argv
+        elif code == 0 and command != "verify-examples" and not TEXT_FORMATS & set(argv):
+            assert printed.endswith("\n") and printed.count("\n") == 1, argv
+            json.loads(printed)
     assert mutations >= 2000
     assert len(commands) == 12
