@@ -420,24 +420,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _command_parsers() -> dict[str, argparse.ArgumentParser]:
-    """The parser of each subcommand of ``build_parser()``, by name."""
+def _command_parsers() -> dict[str, tuple]:
+    """Per subcommand of ``build_parser()``, by name: its parser and its option
+    table, which holds its long value and store_true options by string, the
+    namespace of a call giving none (action defaults, then ``set_defaults``,
+    in argparse's order) and the dests it requires."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return commands.choices
+    tables = {}
+    for name, parser in commands.choices.items():
+        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
+        options = {
+            s: a for a in actions if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
+            for s in a.option_strings if s.startswith("--")
+        }
+        defaults = {**{a.dest: a.default for a in actions}, **parser._defaults}
+        tables[name] = parser, options, defaults, {a.dest for a in actions if a.required}
+    return tables
+
+
+def _plain(
+    name: str, strings: list[str], options, defaults, required
+) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain call of subcommand ``name``, else
+    None.  Plain: each string is an exact long option given once, as
+    ``--flag value`` (value not starting with ``-``), ``--flag=value`` or a
+    bare store_true flag, every value converts to one of its choices, and
+    every required flag is given."""
+    given, rest = {}, iter(strings)
+    for string in rest:
+        flag, eq, value = string.partition("=")
+        action = options.get(flag)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:  # store_true
+            if eq:
+                return None
+            value = action.const
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("-"):
+                    return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given[action.dest] = value
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**{"command": name, **defaults, **given})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace of one call; raises SystemExit on a usage error or help.
 
-    argparse's subparser action runs the named subcommand's parser on the
-    strings after the name once the top-level parser has scanned them all;
-    calling that parser directly skips the scan, and leftover strings go to
-    the top-level error as the action would send them.
+    A plain call of a subcommand (see ``_plain``) is read straight from that
+    subcommand's option table.  Every other call goes to argparse, which alone
+    prints help, usage and error text: a call naming a subcommand to that
+    subcommand's parser, whose leftover strings go to the top-level error as
+    argparse's subparser action would send them, and any other call to the
+    top-level parser.
     """
     parser = build_parser()
-    command = _command_parsers().get(argv[0]) if argv else None
-    if command is None:  # no name, help, an unknown name or an option first
+    if not argv or argv[0] not in _command_parsers():  # help, an unknown name or an option
         return parser.parse_args(argv)
+    command, *table = _command_parsers()[argv[0]]
+    args = _plain(argv[0], argv[1:], *table)
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -448,9 +500,10 @@ def run(argv=None) -> int:
     """Run one call of the command line (``sys.argv[1:]`` when argv is None)
     and return its exit code.
 
-    A call naming a subcommand is parsed once, by that subcommand's parser;
-    every other call goes through the top-level parser, which alone prints the
-    top-level usage and help.  Flags are then read in one order, the bounds
+    A plain call of a subcommand is read from its option table, any other
+    call naming a subcommand by that subcommand's parser, and every other
+    call by the top-level parser, which alone prints the top-level usage and
+    help (``_parse``).  Flags are then read in one order, the bounds
     (--range, --window, --times) first, then --type, --denoms, --facts and --q
     or --datum, so a refused call has read no later payload.  The subcommand
     gets their objects (``span``, ``info``, ``facts``, ``q`` or ``datum``).

@@ -10,17 +10,17 @@ with (c_ij) a simply-laced finite Cartan matrix.  These are decidable
 exactly when the members are fundamental labels; pairs involving compound
 labels come back as "unknown".
 
-Each label check is written once here: ``fund_point`` maps a member to its
-label (None when compound), ``root_verdict`` grades the root-module pattern,
-``_cartan_of`` builds the induced matrix from -d and validates it with
-``classify_cartan``, the one finite-type rule, and ``roll_up`` folds
-verdicts into pass, fail or unknown.  ``check_strong`` is the one route to a
-``StrongReport``: it reads every d(R_i, D^k R_j) off one sweep, and
-``from_q_datum`` and the reflections call it on each datum they build.
-``_strength`` is the one strength rule: pass gives verified; from a verified
-or inherited parent, unknown gives inherited and fail raises; anything else
-gives unknown.  ``cuspidal`` reads ``fund_point``, ``induced_cartan`` and
-``classify_cartan``.
+Each label check is written once here: ``_member_point`` maps a member to
+the label of its normal form (None when compound), ``root_verdict`` grades
+the root-module pattern, ``_cartan_of`` builds the induced matrix from -d
+and validates it with ``classify_cartan``, the one finite-type rule, and
+``roll_up`` folds verdicts into pass, fail or unknown.  ``check_strong`` is
+the one route to a ``StrongReport``: it reads every d(R_i, D^k R_j) off one
+sweep, and ``from_q_datum`` and the reflections call it on each datum they
+build.  ``_strength`` is the one strength rule: pass gives verified; from a
+verified or inherited parent, unknown gives inherited and fail raises;
+anything else gives unknown.  ``cuspidal`` reads ``fund_point``,
+``induced_cartan`` and ``classify_cartan``.
 
 Completeness is not decidable from labels: it is a provenance flag, seeded
 by construction from a Q-datum and transported along reflections.
@@ -91,6 +91,18 @@ def fund_point(e: Expr) -> SigmaPoint | None:
     return e.point if isinstance(e, Fund) else None
 
 
+def _member_point(info: AffineTypeInfo, e: Expr) -> SigmaPoint | None:
+    """The label of a member read off its normal form, so a fundamental spelled
+    as a one-factor head or with cancelling duals has one; None when compound,
+    also when its normal form needs a denominator table the type lacks."""
+    if isinstance(e, Fund):
+        return e.point
+    try:
+        return fund_point(modexpr.normalize(info, e))
+    except NoProviderError:
+        return None
+
+
 def root_verdict(info: AffineTypeInfo, x: SigmaPoint | None) -> str:
     """The root-module check of one member: ok, fail, or unknown (compound)."""
     if x is None:
@@ -117,7 +129,7 @@ def check_strong(datum: DualityDatum) -> StrongReport:
     One sweep (``invariants._shift_profiles``) gives every profile
     d(R_i, D^k R_j); the root verdicts read the diagonal, the pair verdicts
     the rest, and the induced matrix their k = 0 entries."""
-    points = [fund_point(m) for m in datum.members]
+    points = [_member_point(datum.info, m) for m in datum.members]
     profiles = invariants._shift_profiles(datum.info, points)
     root_verdicts = []
     pair_verdicts = []
@@ -169,7 +181,7 @@ def induced_cartan(datum: DualityDatum) -> tuple[tuple[int, ...], ...]:
     from two members on a compound member is refused."""
     if datum.cartan is not None:
         return datum.cartan
-    points = [fund_point(m) for m in datum.members]
+    points = [_member_point(datum.info, m) for m in datum.members]
     if len(points) > 1 and None in points:
         raise DualityError(
             "pairwise d is not exact for compound members; no cached matrix"

@@ -593,6 +593,24 @@ def test_a_deeply_nested_member_is_a_domain_error(capsys, kind, depth, headroom)
         assert "recursion" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "member",
+    [
+        {"head": [{"fund": [1, 0]}]},
+        {"dual": {"k": 1, "of": {"dual": {"k": -1, "of": {"fund": [1, 0]}}}}},
+    ],
+)
+def test_a_member_that_normalizes_to_a_fundamental_counts_as_one(capsys, member):
+    def call(command, first, *flags):
+        datum = {"affine": "A2^1", "members": {"1": first, "2": {"fund": [1, 2]}}}
+        return invoke(capsys, command, "--type", "A2^1", "--datum", json.dumps(datum), *flags)
+
+    for command, flags in [("reflect", ("--node", "1")), ("check-strong", ())]:
+        plain = call(command, {"fund": [1, 0]}, *flags)
+        assert plain[0] == 0
+        assert call(command, member, *flags) == plain
+
+
 @pytest.mark.parametrize("times", ["x", "1.5", "+-5", "--5", "9__9", NINES + "x", "0x10"])
 def test_a_non_integer_times_stays_a_usage_error(capsys, times):
     code, out, _ = invoke(capsys, *_numbered("--times", times))
@@ -808,9 +826,13 @@ def test_a_named_subcommand_is_parsed_once(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     top = build_parser()
     (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    # a plain call is read from the subcommand's option table, without argparse
+    for argv in [REFLECT, SIGMA_QUIVER + ("--format", "dot")]:
+        parsers.clear()
+        assert invoke(capsys, *argv)[0] == 0
+        assert parsers == []
+    # any other call naming a subcommand goes to that subcommand's parser once
     for argv, code in [
-        (REFLECT, 0),
-        (SIGMA_QUIVER + ("--format", "dot"), 0),
         (INVERSE + ("--no-such-flag",), 2),
         (("roots", "-h"), 0),
         (("roots",), 2),

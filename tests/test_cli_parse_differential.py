@@ -1,14 +1,21 @@
-"""The one-pass parse of ``cli.run`` against argparse's full parse.
+"""The parse of ``cli.run`` against argparse's full parse.
 
-A call whose first string names a subcommand goes straight to that
-subcommand's parser.  The reference is the route it replaced,
-``build_parser().parse_args(argv)``, in which the top-level parser scans the
-strings and its subparser action then runs the same subcommand parser on
-them.  Each case runs ``cli.run`` both ways and compares exit code, stdout
-and stderr.  The cases are the golden CLI calls, the recorded cli-session
-calls of the benchmark (read only), the seeded corpus of ``test_cli_fuzz.py``
-and hand cases around help, unknown names, abbreviations, ``--`` and
-leftover strings.
+A plain call of a subcommand, every string after the name an exact long
+option given once, is read straight from that subcommand's option table;
+any other call naming a subcommand goes to that subcommand's parser.  The
+reference is ``build_parser().parse_args(argv)``, in which the top-level
+parser scans the strings and its subparser action then runs the same
+subcommand parser on them.  Each case runs ``cli.run`` both ways and
+compares exit code, stdout and stderr.  The cases are the golden CLI calls,
+the recorded cli-session calls of the benchmark (read only), the seeded
+corpus of ``test_cli_fuzz.py`` and hand cases around help, unknown names,
+abbreviations, repeats, values starting with ``-``, ``--``, leftover
+strings, conversions and choices.
+
+Every golden and recorded call that argparse parses without help or a usage
+error must also be read plain, with no ``parse_known_args`` call and the
+namespace argparse gives, so a change that quietly sends such calls back
+through argparse fails here.
 
 argparse's handling of these cases has changed between Python releases, so
 the module also runs without pytest, on any supported Python:
@@ -18,6 +25,7 @@ the module also runs without pytest, on any supported Python:
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import sys
@@ -32,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ONE_PASS = cli._parse
 
 Q_A2 = '{"xi":{"1":0,"2":1}}'
+REFLECT = ["reflect", "--type", "A2^1", "--q", Q_A2, "--node", "1"]
 INVARIANT = ["invariant", "--type", "A2^1", "--kind", "d", "--y", "1,2"]
 HAND_CASES = [
     [],
@@ -74,6 +83,19 @@ HAND_CASES = [
     ["roots,", "--fin", "A2"],
     ["Roots", "--fin", "A2"],
     ["root", "--fin", "A2"],
+    REFLECT + ["--inverse=1"],
+    REFLECT + ["--times", "99999"],
+    REFLECT + ["--times", " 2"],
+    REFLECT[:-1] + [" 1"],
+    REFLECT[:-1] + ["-1"],
+    ["roots", "--fin="],
+    ["roots", "--fin", ""],
+    ["roots", "--fin", "A2", "--word"],
+    ["phi", "--type", "A2^1", f"--q={Q_A2}", "--word=1,2,1"],
+    ["invariant", "--type", "A2^1", "--kind=nope", "--x", "1,0", "--y", "1,2"],
+    ["roots", "--fin=A2", "--fin", "A3"],
+    ["roots", "--fin", "-A2"],
+    ["roots", "--fin", "A2", "--word", "-1"],
 ]
 
 
@@ -96,8 +118,10 @@ CASE_SETS = {
     "golden": (golden_calls, 75),
     "cli-session": (session_calls, 159),
     "fuzz": (fuzz_calls, 2400),
-    "hand": (lambda: HAND_CASES, len(HAND_CASES)),
+    "hand": (lambda: HAND_CASES, 53),
 }
+# name: how many of its calls argparse parses without help or a usage error
+ACCEPTED = {"golden": 75, "cli-session": 157}
 
 
 def _full_parse(argv):
@@ -129,11 +153,45 @@ def differences(cases) -> list[tuple[list[str], tuple, tuple]]:
     return found
 
 
+def not_read_plain(cases) -> tuple[int, list[list[str]]]:
+    """How many calls argparse parses without help or a usage error, and
+    those of them that ``cli._parse`` reads otherwise than plain: through a
+    ``parse_known_args`` call or into another namespace."""
+    accepted, found, reached = 0, [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        reached.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    for argv in cases:
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                expected = _full_parse(list(argv))
+        except SystemExit:
+            continue
+        accepted += 1
+        reached.clear()
+        argparse.ArgumentParser.parse_known_args = counted
+        try:
+            got = ONE_PASS(list(argv))
+        finally:
+            argparse.ArgumentParser.parse_known_args = parse_known_args
+        if reached or got != expected:
+            found.append(argv)
+    return accepted, found
+
+
 def _check(name: str) -> None:
     cases, count = CASE_SETS[name]
     argvs = cases()
     assert len(argvs) == count
     assert differences(argvs) == []
+
+
+def test_every_call_argparse_accepts_is_read_plain():
+    for name, count in ACCEPTED.items():
+        assert not_read_plain(CASE_SETS[name][0]()) == (count, [])
 
 
 def test_golden_calls_parse_alike():
@@ -161,5 +219,11 @@ if __name__ == "__main__":
         for argv, got, expected in found:
             print(f"  {argv!r}\n    one pass: {got!r}\n    full:     {expected!r}")
         failed |= bool(found) or len(argvs) != count
+        if name in ACCEPTED:
+            accepted, slow = not_read_plain(argvs)
+            print(f"  {accepted} parse (expected {ACCEPTED[name]}), {len(slow)} not read plain")
+            for argv in slow:
+                print(f"  not read plain: {argv!r}")
+            failed |= bool(slow) or accepted != ACCEPTED[name]
     print(f"Python {sys.version.split()[0]}: {'FAIL' if failed else 'ok'}")
     sys.exit(1 if failed else 0)
