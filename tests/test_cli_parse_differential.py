@@ -26,8 +26,10 @@ the module also runs without pytest, on any supported Python:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -124,8 +126,128 @@ CASE_SETS = {
 ACCEPTED = {"golden": 75, "cli-session": 157}
 
 
+# The shared flags as ``cli`` once declared them.
+SHARED_FLAGS = {
+    "--type": {"required": True, "help": "affine type, e.g. A2^1"},
+    "--q": {"help": 'Q-datum JSON, e.g. {"xi":{"1":0,"2":1}}'},
+    "--datum": {"help": "datum JSON (inline or @file); its affine type must be --type"},
+    "--denoms": {"help": "denominator table JSON (inline or @file)"},
+    "--facts": {"help": "fusion facts JSON (inline or @file)"},
+}
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built call by call with
+    ``add_argument`` as ``cli.build_parser`` once built it."""
+    parser = argparse.ArgumentParser(
+        prog="qaffpbw",
+        description="label-level PBW combinatorics for quantum affine algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help_text, *shared):
+        p = sub.add_parser(name, help=help_text)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("roots", cli._cmd_roots, "beta sequences and w0 data of a finite type")
+    p.add_argument("--fin", required=True, help="finite type, e.g. A3")
+    p.add_argument("--word", help="comma-separated reduced word")
+
+    p = command("adapted", cli._cmd_adapted, "check or enumerate adapted words", "--type", "--q")
+    p.add_argument("--word", help="word to check; omit to enumerate")
+
+    p = command(
+        "phi", cli._cmd_phi, "label map of a Q-datum along an adapted word", "--type", "--q"
+    )
+    p.add_argument("--word", help="adapted word; omit for the canonical one")
+
+    command(
+        "datum-from-q", cli._cmd_datum_from_q, "canonical duality datum of a Q-datum",
+        "--type", "--q", "--denoms",
+    )
+
+    p = command(
+        "reflect", cli._cmd_reflect, "apply a reflection to a duality datum",
+        "--type", "--q", "--datum", "--denoms", "--facts",
+    )
+    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--inverse", action="store_true")
+    p.add_argument("--times", type=cli._times, default=1)
+
+    p = command(
+        "cuspidal", cli._cmd_cuspidal, "materialize a cuspidal sequence window",
+        "--type", "--q", "--datum", "--denoms", "--facts",
+    )
+    p.add_argument("--word", required=True)
+    p.add_argument("--range", required=True, help="e.g. 1..6")
+
+    p = command(
+        "invariant", cli._cmd_invariant, "pairing invariants between labels", "--type", "--denoms"
+    )
+    p.add_argument("--kind", choices=sorted(cli._INVARIANT_KINDS), required=True)
+    p.add_argument("--x", required=True, help="label i,p")
+    p.add_argument("--y", required=True, help="label i,p")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+    p = command(
+        "decompose", cli._cmd_decompose, "cuspidal decomposition of a multiset", "--type", "--q"
+    )
+    p.add_argument("--word", help="adapted word; omit for the canonical one")
+    p.add_argument("--multiset", required=True, help="[[i,p],...] (inline or @file)")
+
+    p = command("compare", cli._cmd_compare, "bi-lexicographic comparison")
+    p.add_argument("--a", required=True, help="exponent vector JSON")
+    p.add_argument("--b", required=True, help="exponent vector JSON")
+
+    p = command(
+        "sigma-quiver", cli._cmd_sigma_quiver, "the quiver on sigma0 in a window",
+        "--type", "--denoms",
+    )
+    p.add_argument("--window", required=True, help="e.g. 0..6")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
+
+    p = command(
+        "check-strong", cli._cmd_check_strong, "verify the strong-datum axioms",
+        "--type", "--denoms",
+    )
+    p.add_argument("--datum", required=True, help=SHARED_FLAGS["--datum"]["help"])
+
+    command("verify-examples", cli._cmd_verify_examples, "run the built-in example corpus")
+    return parser
+
+
 def _full_parse(argv):
-    return cli.build_parser().parse_args(argv)
+    return reference_parser().parse_args(argv)
+
+
+def help_texts(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """The help text of ``parser`` and of each of its subcommands, by name
+    ("" for the top level), at a fixed terminal width."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        texts = {"": parser.format_help()}
+        texts.update((name, p.format_help()) for name, p in commands.choices.items())
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return texts
+
+
+def help_differences() -> list[str]:
+    """The parsers, by subcommand name ("" for the top level), whose help text
+    differs between ``cli.build_parser()`` and the reference."""
+    got, expected = help_texts(cli.build_parser()), help_texts(reference_parser())
+    assert len(expected) == 13
+    names = got.keys() | expected.keys()
+    return sorted(name for name in names if got.get(name) != expected.get(name))
 
 
 def outcome(argv, parse) -> tuple[int, str, str]:
@@ -194,6 +316,10 @@ def test_every_call_argparse_accepts_is_read_plain():
         assert not_read_plain(CASE_SETS[name][0]()) == (count, [])
 
 
+def test_help_texts_match_the_reference():
+    assert help_differences() == []
+
+
 def test_golden_calls_parse_alike():
     _check("golden")
 
@@ -225,5 +351,10 @@ if __name__ == "__main__":
             for argv in slow:
                 print(f"  not read plain: {argv!r}")
             failed |= bool(slow) or accepted != ACCEPTED[name]
+    helps = help_differences()
+    print(f"help: 13 parsers, {len(helps)} differ")
+    for name in helps:
+        print(f"  help differs: {name or 'top level'}")
+    failed |= bool(helps)
     print(f"Python {sys.version.split()[0]}: {'FAIL' if failed else 'ok'}")
     sys.exit(1 if failed else 0)
