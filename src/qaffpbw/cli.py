@@ -323,9 +323,6 @@ _FAILED = {
 }
 
 
-# ---------------------------------------------------------------------------
-
-
 # Flags that several subcommands take, read by ``run``; each subcommand names its own.
 _SHARED_FLAGS = {
     "--type": {"required": True, "help": "affine type, e.g. A2^1"},
@@ -336,9 +333,62 @@ _SHARED_FLAGS = {
 }
 
 
+def _shared(*flags: str) -> dict[str, dict]:
+    return {flag: _SHARED_FLAGS[flag] for flag in flags}
+
+
+# Every subcommand, in help order: its function, its help and its long options,
+# each with the keyword arguments of its ``add_argument`` call.  ``build_parser``
+# and ``_plain`` both read this table.
+_COMMANDS = {
+    "roots": (_cmd_roots, "beta sequences and w0 data of a finite type", {
+        "--fin": {"required": True, "help": "finite type, e.g. A3"},
+        "--word": {"help": "comma-separated reduced word"}}),
+    "adapted": (_cmd_adapted, "check or enumerate adapted words", {
+        **_shared("--type", "--q"),
+        "--word": {"help": "word to check; omit to enumerate"}}),
+    "phi": (_cmd_phi, "label map of a Q-datum along an adapted word", {
+        **_shared("--type", "--q"),
+        "--word": {"help": "adapted word; omit for the canonical one"}}),
+    "datum-from-q": (_cmd_datum_from_q, "canonical duality datum of a Q-datum", {
+        **_shared("--type", "--q", "--denoms")}),
+    "reflect": (_cmd_reflect, "apply a reflection to a duality datum", {
+        **_shared("--type", "--q", "--datum", "--denoms", "--facts"),
+        "--node": {"type": int, "required": True},
+        "--inverse": {"action": "store_true"},
+        "--times": {"type": _times, "default": 1}}),
+    "cuspidal": (_cmd_cuspidal, "materialize a cuspidal sequence window", {
+        **_shared("--type", "--q", "--datum", "--denoms", "--facts"),
+        "--word": {"required": True},
+        "--range": {"required": True, "help": "e.g. 1..6"}}),
+    "invariant": (_cmd_invariant, "pairing invariants between labels", {
+        **_shared("--type", "--denoms"),
+        "--kind": {"choices": sorted(_INVARIANT_KINDS), "required": True},
+        "--x": {"required": True, "help": "label i,p"},
+        "--y": {"required": True, "help": "label i,p"},
+        "--format": {"choices": ("json", "text"), "default": "json"}}),
+    "decompose": (_cmd_decompose, "cuspidal decomposition of a multiset", {
+        **_shared("--type", "--q"),
+        "--word": {"help": "adapted word; omit for the canonical one"},
+        "--multiset": {"required": True, "help": "[[i,p],...] (inline or @file)"}}),
+    "compare": (_cmd_compare, "bi-lexicographic comparison", {
+        "--a": {"required": True, "help": "exponent vector JSON"},
+        "--b": {"required": True, "help": "exponent vector JSON"}}),
+    "sigma-quiver": (_cmd_sigma_quiver, "the quiver on sigma0 in a window", {
+        **_shared("--type", "--denoms"),
+        "--window": {"required": True, "help": "e.g. 0..6"},
+        "--format": {"choices": ("json", "dot"), "default": "json"}}),
+    "check-strong": (_cmd_check_strong, "verify the strong-datum axioms", {
+        **_shared("--type", "--denoms"),
+        "--datum": {**_SHARED_FLAGS["--datum"], "required": True}}),
+    "verify-examples": (_cmd_verify_examples, "run the built-in example corpus", {}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of every subcommand, built once per process.
+    """The argument parser of every subcommand of ``_COMMANDS``, built once
+    per process.
 
     The returned parser is shared by all callers and must not be mutated.
     """
@@ -347,166 +397,74 @@ def build_parser() -> argparse.ArgumentParser:
         description="label-level PBW combinatorics for quantum affine algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_text, *shared):
-        p = sub.add_parser(name, help=help_text)
-        for flag in shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        p.set_defaults(func=func)
-        return p
-
-    p = command("roots", _cmd_roots, "beta sequences and w0 data of a finite type")
-    p.add_argument("--fin", required=True, help="finite type, e.g. A3")
-    p.add_argument("--word", help="comma-separated reduced word")
-
-    p = command("adapted", _cmd_adapted, "check or enumerate adapted words", "--type", "--q")
-    p.add_argument("--word", help="word to check; omit to enumerate")
-
-    p = command("phi", _cmd_phi, "label map of a Q-datum along an adapted word", "--type", "--q")
-    p.add_argument("--word", help="adapted word; omit for the canonical one")
-
-    command(
-        "datum-from-q", _cmd_datum_from_q, "canonical duality datum of a Q-datum",
-        "--type", "--q", "--denoms",
-    )
-
-    p = command(
-        "reflect", _cmd_reflect, "apply a reflection to a duality datum",
-        "--type", "--q", "--datum", "--denoms", "--facts",
-    )
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--times", type=_times, default=1)
-
-    p = command(
-        "cuspidal", _cmd_cuspidal, "materialize a cuspidal sequence window",
-        "--type", "--q", "--datum", "--denoms", "--facts",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--range", required=True, help="e.g. 1..6")
-
-    p = command(
-        "invariant", _cmd_invariant, "pairing invariants between labels", "--type", "--denoms"
-    )
-    p.add_argument("--kind", choices=sorted(_INVARIANT_KINDS), required=True)
-    p.add_argument("--x", required=True, help="label i,p")
-    p.add_argument("--y", required=True, help="label i,p")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = command(
-        "decompose", _cmd_decompose, "cuspidal decomposition of a multiset", "--type", "--q"
-    )
-    p.add_argument("--word", help="adapted word; omit for the canonical one")
-    p.add_argument("--multiset", required=True, help="[[i,p],...] (inline or @file)")
-
-    p = command("compare", _cmd_compare, "bi-lexicographic comparison")
-    p.add_argument("--a", required=True, help="exponent vector JSON")
-    p.add_argument("--b", required=True, help="exponent vector JSON")
-
-    p = command(
-        "sigma-quiver", _cmd_sigma_quiver, "the quiver on sigma0 in a window",
-        "--type", "--denoms",
-    )
-    p.add_argument("--window", required=True, help="e.g. 0..6")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-
-    p = command(
-        "check-strong", _cmd_check_strong, "verify the strong-datum axioms", "--type", "--denoms"
-    )
-    p.add_argument("--datum", required=True, help=_SHARED_FLAGS["--datum"]["help"])
-
-    command("verify-examples", _cmd_verify_examples, "run the built-in example corpus")
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in flags.items():
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _command_parsers() -> dict[str, tuple]:
-    """Per subcommand of ``build_parser()``, by name: its parser and its option
-    table, which holds its long value and store_true options by string, the
-    namespace of a call giving none (action defaults, then ``set_defaults``,
-    in argparse's order) and the dests it requires."""
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    tables = {}
-    for name, parser in commands.choices.items():
-        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]
-        options = {
-            s: a for a in actions if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
-            for s in a.option_strings if s.startswith("--")
-        }
-        defaults = {**{a.dest: a.default for a in actions}, **parser._defaults}
-        tables[name] = parser, options, defaults, {a.dest for a in actions if a.required}
-    return tables
-
-
-def _plain(
-    name: str, strings: list[str], options, defaults, required
-) -> argparse.Namespace | None:
+def _plain(name: str, strings: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives a plain call of subcommand ``name``, else
-    None.  Plain: each string is an exact long option given once, as
-    ``--flag value`` (value not starting with ``-``), ``--flag=value`` or a
-    bare store_true flag, every value converts to one of its choices, and
-    every required flag is given."""
+    None.  Plain: each string is an exact long option of ``_COMMANDS[name]``
+    given once, as ``--flag value`` (value not starting with ``-``),
+    ``--flag=value`` or a bare store_true flag, every value converts to one
+    of its choices, and every required flag is given."""
+    func, _, flags = _COMMANDS[name]
     given, rest = {}, iter(strings)
     for string in rest:
         flag, eq, value = string.partition("=")
-        action = options.get(flag)
-        if action is None or action.dest in given:
+        spec = flags.get(flag)
+        if spec is None or flag in given:
             return None
-        if action.nargs == 0:  # store_true
+        if spec.get("action") == "store_true":
             if eq:
                 return None
-            value = action.const
+            value = True
         else:
             if not eq:
                 value = next(rest, None)
                 if value is None or value.startswith("-"):
                     return None
             try:
-                value = value if action.type is None else action.type(value)
+                value = spec.get("type", str)(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in spec and value not in spec["choices"]:
                 return None
-        given[action.dest] = value
-    if not required <= given.keys():
-        return None
-    return argparse.Namespace(**{"command": name, **defaults, **given})
+        given[flag] = value
+    args = {"command": name, "func": func}
+    for flag, spec in flags.items():
+        if flag not in given and spec.get("required"):
+            return None
+        store_true = spec.get("action") == "store_true"
+        args[flag[2:]] = given.get(flag, spec.get("default", False if store_true else None))
+    return argparse.Namespace(**args)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace of one call; raises SystemExit on a usage error or help.
 
-    A plain call of a subcommand (see ``_plain``) is read straight from that
-    subcommand's option table.  Every other call goes to argparse, which alone
-    prints help, usage and error text: a call naming a subcommand to that
-    subcommand's parser, whose leftover strings go to the top-level error as
-    argparse's subparser action would send them, and any other call to the
-    top-level parser.
+    A plain call of a subcommand (see ``_plain``) is read straight from
+    ``_COMMANDS``.  Every other call goes to the full argparse parse, which
+    alone prints help, usage and error text.
     """
     parser = build_parser()
-    if not argv or argv[0] not in _command_parsers():  # help, an unknown name or an option
-        return parser.parse_args(argv)
-    command, *table = _command_parsers()[argv[0]]
-    args = _plain(argv[0], argv[1:], *table)
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:
     """Run one call of the command line (``sys.argv[1:]`` when argv is None)
     and return its exit code.
 
-    A plain call of a subcommand is read from its option table, any other
-    call naming a subcommand by that subcommand's parser, and every other
-    call by the top-level parser, which alone prints the top-level usage and
-    help (``_parse``).  Flags are then read in one order, the bounds
-    (--range, --window, --times) first, then --type, --denoms, --facts and --q
-    or --datum, so a refused call has read no later payload.  The subcommand
-    gets their objects (``span``, ``info``, ``facts``, ``q`` or ``datum``).
+    A plain call of a subcommand is read from ``_COMMANDS`` and every other
+    call by argparse, which alone prints usage and help (``_parse``).  Flags
+    are then read in one order, the bounds (--range, --window, --times)
+    first, then --type, --denoms, --facts and --q or --datum, so a refused
+    call has read no later payload.  The subcommand gets their objects
+    (``span``, ``info``, ``facts``, ``q`` or ``datum``).
     """
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))

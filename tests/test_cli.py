@@ -831,7 +831,8 @@ def test_a_named_subcommand_is_parsed_once(monkeypatch, capsys):
         parsers.clear()
         assert invoke(capsys, *argv)[0] == 0
         assert parsers == []
-    # any other call naming a subcommand goes to that subcommand's parser once
+    # any other call naming a subcommand takes the full parse: the top-level
+    # parser, whose subparser action then runs that subcommand's parser once
     for argv, code in [
         (INVERSE + ("--no-such-flag",), 2),
         (("roots", "-h"), 0),
@@ -839,7 +840,7 @@ def test_a_named_subcommand_is_parsed_once(monkeypatch, capsys):
     ]:
         parsers.clear()
         assert invoke(capsys, *argv)[0] == code
-        assert parsers == [commands.choices[argv[0]]]
+        assert parsers == [top, commands.choices[argv[0]]]
     # the top-level parser alone prints the top-level usage and help
     for argv, code in [((), 2), (("--help",), 0), (("no-such-command",), 2)]:
         parsers.clear()
