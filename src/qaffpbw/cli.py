@@ -486,7 +486,7 @@ def run(argv=None) -> int:
                 ready["datum" if "datum" in given else "q"] = _load_datum(info, args)
         result = args.func(args, **ready)
     except (ValueError, KeyError, OSError, RecursionError) as err:
-        # the library raises ValueErrors; RecursionError: a member nested too deep
+        # the library raises ValueErrors; RecursionError: an input past the recursion limit
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
     print(result if isinstance(result, str) else json.dumps(result, sort_keys=True))

@@ -6,8 +6,9 @@ minimal-pair recursion over the convex order of the word
     C_k = C_a * C_b        for a minimal pair (a, b) of beta_k,
     C_k = R_j              when beta_k is the simple root alpha_j,
 
-with R_j the j-th member of the datum and * evaluated as a head.  Outside
-the window the sequence extends by the dual-shift law S_{k+l} = D(S_k).
+with R_j the j-th member of the datum in normal form and * evaluated as a
+head.  Outside the window the sequence extends by the dual-shift law
+S_{k+l} = D(S_k).
 
 ``CuspidalSeq`` is the one sequence class: it owns the memo, the dual-shift
 extension, ``range``, ``label`` and ``index_of``.  ``FundamentalCuspidalSeq``
@@ -102,6 +103,8 @@ class CuspidalSeq:
             step = _recursion_step(self._analysis, k0)
             if isinstance(step, int):
                 value = self.datum.member(step)
+                if not isinstance(value, Fund):
+                    value = duality_mod._normal_member(self.info, value, self.facts)
             else:
                 a, b = step
                 value = modexpr.head(

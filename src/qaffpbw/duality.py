@@ -10,17 +10,18 @@ with (c_ij) a simply-laced finite Cartan matrix.  These are decidable
 exactly when the members are fundamental labels; pairs involving compound
 labels come back as "unknown".
 
-Each label check is written once here: ``_member_point`` maps a member to
-the label of its normal form (None when compound), ``root_verdict`` grades
-the root-module pattern, ``_cartan_of`` builds the induced matrix from -d
-and validates it with ``classify_cartan``, the one finite-type rule, and
+Each label check is written once here: ``_normal_member`` rewrites a
+member to its normal form, ``_member_point`` maps a member to the label of
+that normal form (None when compound), ``root_verdict`` grades the
+root-module pattern, ``_cartan_of`` builds the induced matrix from -d and
+validates it with ``classify_cartan``, the one finite-type rule, and
 ``roll_up`` folds verdicts into pass, fail or unknown.  ``check_strong`` is
 the one route to a ``StrongReport``: it reads every d(R_i, D^k R_j) off one
 sweep, and ``from_q_datum`` and the reflections call it on each datum they
 build.  ``_strength`` is the one strength rule: pass gives verified; from a
 verified or inherited parent, unknown gives inherited and fail raises;
 anything else gives unknown.  ``cuspidal`` reads ``fund_point``,
-``induced_cartan`` and ``classify_cartan``.
+``_normal_member``, ``induced_cartan`` and ``classify_cartan``.
 
 Completeness is not decidable from labels: it is a provenance flag, seeded
 by construction from a Q-datum and transported along reflections.
@@ -91,16 +92,20 @@ def fund_point(e: Expr) -> SigmaPoint | None:
     return e.point if isinstance(e, Fund) else None
 
 
-def _member_point(info: AffineTypeInfo, e: Expr) -> SigmaPoint | None:
-    """The label of a member read off its normal form, so a fundamental spelled
-    as a one-factor head or with cancelling duals has one; None when compound,
-    also when its normal form needs a denominator table the type lacks."""
-    if isinstance(e, Fund):
-        return e.point
+def _normal_member(info: AffineTypeInfo, e: Expr, facts: FusionTable | None = None) -> Expr:
+    """A non-``Fund`` member in normal form, so a fundamental spelled as a
+    one-factor head or with cancelling duals is that ``Fund``; as written when
+    its normal form needs a denominator table the type lacks."""
     try:
-        return fund_point(modexpr.normalize(info, e))
+        return modexpr.normalize(info, e, facts)
     except NoProviderError:
-        return None
+        return e
+
+
+def _member_point(info: AffineTypeInfo, e: Expr) -> SigmaPoint | None:
+    """The label of a member read off its normal form (``_normal_member``);
+    None when compound."""
+    return e.point if isinstance(e, Fund) else fund_point(_normal_member(info, e))
 
 
 def root_verdict(info: AffineTypeInfo, x: SigmaPoint | None) -> str:

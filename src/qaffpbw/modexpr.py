@@ -579,24 +579,39 @@ def expr_to_json(expr: Expr):
     return {"head": [expr_to_json(f) for f in expr.factors]}
 
 
+# Deepest nesting of heads and duals that ``expr_from_json`` reads: rewriting
+# such an expression stays well inside Python's default recursion limit.
+_MAX_NESTING = 200
+
+
 def expr_from_json(doc) -> Expr:
+    """The expression of a JSON document; heads and duals nested more than
+    ``_MAX_NESTING`` deep raise a ValueError."""
+    return _expr_from_json(doc, _MAX_NESTING)
+
+
+def _expr_from_json(doc, room: int) -> Expr:
     if not isinstance(doc, dict):
         raise ValueError(f"an expression must be a JSON object, got {doc!r}")
     if "one" in doc:
         return One
     if "fund" in doc:
         return Fund(point_from_json(doc["fund"], "'fund'"))
+    if room == 0 and ("dual" in doc or "head" in doc):
+        raise ValueError(f"heads and duals nest more than {_MAX_NESTING} levels deep")
     if "dual" in doc:
         dual = doc["dual"]
         if not isinstance(dual, dict) or "k" not in dual or "of" not in dual:
             raise ValueError(f"'dual' must be an object with 'k' and 'of', got {dual!r}")
-        return Dual(json_int(dual["k"], "'dual' field 'k'"), expr_from_json(dual["of"]))
+        shift = json_int(dual["k"], "'dual' field 'k'")
+        return Dual(shift, _expr_from_json(dual["of"], room - 1))
     if "head" in doc:
         entries = doc["head"]
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"'head' must be a list of factors, got {entries!r}")
         factors = tuple(
-            expr_from_json(f) if isinstance(f, dict) else Fund(point_from_json(f, "'head' entry"))
+            _expr_from_json(f, room - 1) if isinstance(f, dict)
+            else Fund(point_from_json(f, "'head' entry"))
             for f in entries
         )
         return Head(factors)

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 from qaffpbw import affine, cli, duality
+from qaffpbw.affine import SigmaPoint
 from qaffpbw.cli import MAX_RANGE, MAX_TIMES, MAX_WINDOW, build_parser, run
+from qaffpbw.cuspidal import CuspidalSeq
+from qaffpbw.modexpr import FusionTable
 from qaffpbw.rootsys import MAX_RANK
 
 Q_A2 = '{"xi":{"1":0,"2":1}}'
@@ -571,35 +574,55 @@ def _stack_depth() -> int:
     return depth
 
 
-# With this many frames above the test, each member decodes on Python
-# 3.10-3.13, and reflect and cuspidal then recurse through it past the limit.
-@pytest.mark.parametrize("kind, depth, headroom", [("dual", 330, 850), ("head", 270, 700)])
-def test_a_deeply_nested_member_is_a_domain_error(capsys, kind, depth, headroom):
+TOO_DEEP = "datum field 'members' entry 1: heads and duals nest more than 200 levels deep"
+
+
+def _nested_calls(capsys, kind: str, depth: int) -> list[tuple[int, str, str]]:
     datum = json.dumps({"affine": "A1^1", "members": {"1": _nested(kind, depth)}})
     calls = [
         ("reflect", "--type", "A1^1", "--datum", datum, "--node", "1"),
+        ("check-strong", "--type", "A1^1", "--datum", datum),
         ("cuspidal", "--type", "A1^1", "--datum", datum, "--word", "1", "--range", "1..3"),
     ]
+    return [invoke(capsys, *argv) for argv in calls]
+
+
+# With this many frames above the test, each member once decoded on Python
+# 3.10-3.13 and then sent reflect and cuspidal past the recursion limit; it is
+# now refused while it is decoded, below that limit, by the nesting cap.
+@pytest.mark.parametrize("kind, depth, headroom", [("dual", 330, 850), ("head", 270, 700)])
+def test_a_deeply_nested_member_is_a_domain_error(capsys, kind, depth, headroom):
+    datum = json.dumps({"affine": "A1^1", "members": {"1": _nested(kind, depth)}})
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + headroom)
     try:
-        decoded = duality.datum_from_json(datum)
-        results = [invoke(capsys, *argv) for argv in calls]
+        with pytest.raises(duality.DualityError) as refused:
+            duality.datum_from_json(datum)
+        results = _nested_calls(capsys, kind, depth)
     finally:
         sys.setrecursionlimit(limit)
-    assert decoded.size == 1
+    assert str(refused.value) == TOO_DEEP
     for code, out, err in results:
-        assert (code, out) == (1, "")
-        assert "recursion" in json.loads(err)["error"]
+        assert (code, out, json.loads(err)) == (1, "", {"error": TOO_DEEP})
 
 
-@pytest.mark.parametrize(
-    "member",
-    [
-        {"head": [{"fund": [1, 0]}]},
-        {"dual": {"k": 1, "of": {"dual": {"k": -1, "of": {"fund": [1, 0]}}}}},
-    ],
-)
+@pytest.mark.parametrize("kind", ["dual", "head"])
+def test_a_member_nested_to_the_cap_runs_and_one_level_more_is_refused(capsys, kind):
+    plain = _nested_calls(capsys, kind, 0)
+    assert [code for code, _, _ in plain] == [0, 0, 0]
+    assert _nested_calls(capsys, kind, 200) == plain
+    for code, out, err in _nested_calls(capsys, kind, 201):
+        assert (code, out, json.loads(err)) == (1, "", {"error": TOO_DEEP})
+
+
+# {"fund": [1, 0]} spelled as a one-factor head and with cancelling duals
+FUND_1_0_SPELLINGS = [
+    {"head": [{"fund": [1, 0]}]},
+    {"dual": {"k": 1, "of": {"dual": {"k": -1, "of": {"fund": [1, 0]}}}}},
+]
+
+
+@pytest.mark.parametrize("member", FUND_1_0_SPELLINGS)
 def test_a_member_that_normalizes_to_a_fundamental_counts_as_one(capsys, member):
     def call(command, first, *flags):
         datum = {"affine": "A2^1", "members": {"1": first, "2": {"fund": [1, 2]}}}
@@ -609,6 +632,26 @@ def test_a_member_that_normalizes_to_a_fundamental_counts_as_one(capsys, member)
         plain = call(command, {"fund": [1, 0]}, *flags)
         assert plain[0] == 0
         assert call(command, member, *flags) == plain
+
+
+@pytest.mark.parametrize("member", FUND_1_0_SPELLINGS)
+def test_cuspidal_reads_each_member_in_normal_form(capsys, member):
+    def window(first):
+        datum = {"affine": "A2^1", "members": {"1": first, "2": {"fund": [1, 2]}}}
+        flags = ("--word", "1,2,1", "--range=-2..6")
+        out = invoke(capsys, "cuspidal", "--type", "A2^1", "--datum", json.dumps(datum), *flags)
+        info = affine.type_info("A2^1")
+        seq = CuspidalSeq(duality.datum_from_json(datum), (1, 2, 1), FusionTable.builtin(info))
+        return out, seq
+
+    plain, plain_seq = window({"fund": [1, 0]})
+    assert plain[0] == 0
+    out, seq = window(member)
+    assert out == plain
+    assert seq.label(1) == SigmaPoint(1, 0)
+    points = [plain_seq.label(k) for k in range(-2, 7)]
+    assert [seq.index_of(p) for p in points] == [plain_seq.index_of(p) for p in points]
+    assert [seq.index_of(p) for p in points] == list(range(-2, 7))
 
 
 @pytest.mark.parametrize("times", ["x", "1.5", "+-5", "--5", "9__9", NINES + "x", "0x10"])

@@ -1,16 +1,19 @@
-"""The parse of ``cli.run`` against argparse's full parse.
+"""The parse of ``cli.run`` against a reference argparse parse.
 
-A plain call of a subcommand, every string after the name an exact long
-option given once, is read straight from that subcommand's option table;
-any other call naming a subcommand goes to that subcommand's parser.  The
-reference is ``build_parser().parse_args(argv)``, in which the top-level
-parser scans the strings and its subparser action then runs the same
-subcommand parser on them.  Each case runs ``cli.run`` both ways and
-compares exit code, stdout and stderr.  The cases are the golden CLI calls,
-the recorded cli-session calls of the benchmark (read only), the seeded
-corpus of ``test_cli_fuzz.py`` and hand cases around help, unknown names,
-abbreviations, repeats, values starting with ``-``, ``--``, leftover
-strings, conversions and choices.
+A call takes one of two routes: a plain call of a subcommand, every string
+after the name an exact long option given once, is read straight from the
+table ``cli._COMMANDS``; every other call goes to argparse's full parse,
+``cli.build_parser().parse_args(argv)``.  The reference is
+``reference_parser()`` below, the parser as it was built before that table
+existed, with one ``add_argument`` call per flag, so the table is checked
+against independent code and not against itself.  Each case runs
+``cli.run`` both ways and compares exit code, stdout and stderr.  The cases
+are the golden CLI calls, the recorded cli-session calls of the benchmark
+(read only), the seeded corpus of ``test_cli_fuzz.py`` and hand cases
+around help, unknown names, abbreviations, repeats, values starting with
+``-``, ``--``, leftover strings, conversions and choices.  The help text of
+the top-level parser and of each subcommand's parser must also match the
+reference's byte for byte, at a fixed terminal width.
 
 Every golden and recorded call that argparse parses without help or a usage
 error must also be read plain, with no ``parse_known_args`` call and the
