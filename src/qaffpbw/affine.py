@@ -357,11 +357,13 @@ def _derived(info: AffineTypeInfo) -> dict:
     """The memo of values derived from a type's zeros, each read through ``_kept``.
 
     Values sized by the type are kept without a bound: the zero table, the
-    d-support rows, sigma0, the probe basis and the memos of Lambda8 by
-    (i, j, gap mod 2h) and of each probe tuple's leaf rows.  Memos keyed by
-    caller input are bounded: the normal forms and the checked data by
-    Q-datum, and this memo itself, which holds one memo per probe tuple and
-    per fusion table besides those few values.
+    d-support rows, sigma0, the probe basis and the memo of Lambda8 by
+    (i, j, gap mod 2h).  Memos keyed by caller input are bounded: the normal
+    forms, the checked data by Q-datum, each probe tuple's rows (one per
+    leaf label and one per expression profiled), and this memo itself,
+    which holds one memo per probe tuple and per fusion table, and per
+    fusion table whether every rewrite keeps the block profile, besides
+    those few values.
     The memo is tied to the table object it was filled from: once
     ``_EXTERNAL_TABLES`` holds another table for the type, or none, the memo
     comes back empty.  Tables are replaced, never edited in place, so the

@@ -44,13 +44,20 @@ memo (``affine._derived``) under ``("normal", facts)``.  Fusion tables compare
 by value, so equal tables share one memo, and a replaced denominator table
 drops it with the rest of the type's derived values.
 
-``equal`` compares normal forms, then their block profiles: the Lambda8
-pairing of the leaves against a probe basis of ``rank`` labels on A_n^(1),
-the pivot columns of the Lambda8 Gram matrix of the sigma0 labels with
-exponent in 0..h-1, which separates exactly what that whole window does.
-The basis and one row per leaf label, keyed by (node, exponent mod 2h), are
-kept in the type's memo (``affine._derived``), so a profile is a sum of
-memo rows.
+``equal`` compares block profiles, then normal forms.  A block profile is
+the Lambda8 pairing of the leaves against a probe basis of ``rank`` labels
+on A_n^(1), the pivot columns of the Lambda8 Gram matrix of the sigma0
+labels with exponent in 0..h-1, which separates exactly what that whole
+window does.  Lambda8 is additive over heads and, on a star-invariant zero
+table, odd under the dual shift, so every rewrite keeps the profile: a
+cancellation drops a pair whose rows cancel, and each fusion fact is checked
+to add up.  Differing profiles of the expressions as given are therefore
+DISTINCT with no rewriting, and only agreeing ones are normalized; the
+verdicts are those of comparing normal forms first.  The basis, one row per
+leaf label, keyed by (node, exponent mod 2h), and the profile of each
+expression compared are kept in the type's memo (``affine._derived``), so a
+profile is a sum of memo rows, and an expression that contains one compared
+before reads its profile in place of its leaves.
 """
 
 from __future__ import annotations
@@ -59,13 +66,19 @@ import json
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from . import affine, invariants
 from ._linalg import pivot_columns
-from .affine import AffineTypeInfo, SigmaPoint, dual_point, json_int, point_from_json
+from .affine import (
+    AffineTypeError,
+    AffineTypeInfo,
+    SigmaPoint,
+    dual_point,
+    json_int,
+    point_from_json,
+)
 
 __all__ = [
     "One",
@@ -502,22 +515,46 @@ def block_profile(
     """Pairing of the expression against probe fundamentals, additively.
 
     For any simple subquotient of the denoted tensor word this profile is
-    exact, so differing profiles certify non-isomorphic labels.  A leaf's
-    row against the probes depends only on its node and its exponent mod
-    2h (``invariants.lambda_inf_fund``), so the rows are kept in the type's
-    memo under that key and the profile is their componentwise sum.
+    exact, so differing profiles certify non-isomorphic labels.  It is the
+    componentwise sum of the rows of the leaves with the dual shifts applied
+    (``signed_leaves``).  A leaf's row against the probes depends only on its
+    node and its exponent mod 2h (``invariants.lambda_inf_fund``), so D^k
+    moves it by the parity of k alone.  The type's memo keeps, per probe
+    tuple, the row of each leaf under that key and the profile of each
+    expression asked for, which a later expression containing it reads.
     """
-    leaves = [dual_point(info, x, k) for x, k in signed_leaves(expr)]
-    total = [0] * len(probes)
-    if not leaves:
-        return tuple(total)
     probes = tuple(probes)
-    period = 2 * info.dual_shift_exponent  # dual_point has checked it exists
     rows = affine._kept(affine._derived(info), ("profile_rows", probes), dict, bounded=True)
-    for leaf in leaves:
-        row = affine._kept(rows, (leaf.node, leaf.power % period), _leaf_row, info, leaf, probes)
-        total = list(map(add, total, row))
-    return tuple(total)
+    return affine._kept(rows, (expr, 0), _summed_rows, info, expr, probes, rows, bounded=True)
+
+
+def _summed_rows(info: AffineTypeInfo, expr: Expr, probes, rows) -> tuple[int, ...]:
+    """The profile of ``expr``: its leaves' rows summed, a kept profile read
+    in place of the rows under it."""
+    parts = []
+    stack = [(expr, 0)]  # (expression, parity of the dual shift applied to it)
+    while stack:
+        e, parity = stack.pop()
+        if e is One:
+            continue
+        if isinstance(e, Fund):
+            leaf = dual_point(info, e.point, parity)
+            key = (leaf.node, leaf.power % (2 * info.dual_shift_exponent))
+            parts.append(affine._kept(rows, key, _leaf_row, info, leaf, probes, bounded=True))
+            continue
+        try:
+            known = rows.get((e, parity))
+        except TypeError:  # a list of factors
+            known = None
+        if known is not None:
+            parts.append(known)
+        elif isinstance(e, Dual):
+            stack.append((e.inner, (parity + e.shift) % 2))
+        elif isinstance(e, Head):
+            stack.extend((f, parity) for f in reversed(e.factors))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+    return tuple(map(sum, zip(*parts))) if parts else (0,) * len(probes)
 
 
 def _leaf_row(info: AffineTypeInfo, leaf: SigmaPoint, probes) -> tuple[int, ...]:
@@ -538,11 +575,69 @@ def _probe_basis(info: AffineTypeInfo) -> tuple[SigmaPoint, ...]:
     space, where a vector that vanishes on the pivot columns (they span all
     columns) vanishes.  The basis therefore separates exactly what the
     window does, with ``rank`` members on A_n^(1).  ``equal`` keeps it in
-    the type's memo.
+    the type's memo.  On a star-invariant zero table the Gram matrix is
+    symmetric, so only its upper triangle is computed.
     """
     window = _probe_window(info)
-    gram = [[invariants.lambda_inf_fund(info, x, y) for y in window] for x in window]
+    if _star_invariant(info):
+        gram = [[0] * len(window) for _ in window]
+        for a, x in enumerate(window):
+            for b in range(a, len(window)):
+                gram[a][b] = gram[b][a] = invariants.lambda_inf_fund(info, x, window[b])
+    else:
+        gram = [[invariants.lambda_inf_fund(info, x, y) for y in window] for x in window]
     return tuple(window[c] for c in pivot_columns(gram))
+
+
+def _star_invariant(info: AffineTypeInfo) -> bool:
+    """Whether ``zeros[i*][j*] == zeros[i][j]`` on the type's zero table.
+
+    Then d(D x, D y) = d(x, y), and since d is symmetric and Lambda_inf is
+    the alternating sum of d(x, D^k y) over k, Lambda_inf is symmetric and
+    Lambda_inf(D x, y) = -Lambda_inf(x, y): the rows of a pair (L, DL) cancel.
+    """
+    zeros, star = affine._zeros(info), info.star
+    span = range(1, info.rank + 1)
+    return all(zeros[star(i)][star(j)] == zeros[i][j] for i in span for j in span)
+
+
+def _keeps_profiles(info: AffineTypeInfo, facts: FusionTable | None) -> bool:
+    """Whether every rewrite keeps the block profile on the probe basis.
+
+    Dual pushes, trace reorders and dropped trivial factors keep the leaves;
+    a cancellation drops a pair (L, DL), whose rows cancel on a
+    star-invariant table; a fusion fact keeps the profile when the result's
+    row is the sum of the factors' rows at every translate mod 2h (shipped
+    facts do, as Lambda_inf is additive over heads), and then so does its
+    star mirror, whose rows are those of the fact's dual negated.  The
+    answer is kept in the type's memo, per fusion table.
+    """
+    key = ("keeps_profiles", facts)
+    return affine._kept(affine._derived(info), key, _check_rewrites, info, facts, bounded=True)
+
+
+def _check_rewrites(info: AffineTypeInfo, facts: FusionTable | None) -> bool:
+    if not _star_invariant(info):
+        return False
+    probes = affine._kept(affine._derived(info), "probe_basis", _probe_basis, info)
+    period = 2 * info.dual_shift_exponent  # the basis has checked it exists
+    for fact in () if facts is None else facts.facts:
+        for t in range(period):
+            a, b, c = (Fund(SigmaPoint(x.node, x.power + t)) for x in fact)
+            if block_profile(info, Head((a, b)), probes) != block_profile(info, c, probes):
+                return False
+    return True
+
+
+def _profiles_agree(info: AffineTypeInfo, e1: Expr, e2: Expr) -> bool | None:
+    """Whether the block profiles of the two expressions as given agree on
+    the probe basis, or None where they cannot be read: no probe basis, a
+    leaf off the diagram or a part that is not an expression."""
+    try:
+        probes = affine._kept(affine._derived(info), "probe_basis", _probe_basis, info)
+        return block_profile(info, e1, probes) == block_profile(info, e2, probes)
+    except (AffineTypeError, TypeError):  # then rewriting raises what it raises
+        return None
 
 
 def equal(
@@ -551,13 +646,31 @@ def equal(
     e2: Expr,
     facts: FusionTable | None = None,
 ) -> Verdict:
-    """Sound three-valued label comparison."""
+    """Sound three-valued label comparison.
+
+    Two leaves (fundamentals or One) are their own normal forms and are
+    compared as they stand.  Otherwise the block profiles of the expressions
+    as given are compared first: where every rewrite keeps the profile
+    (``_keeps_profiles``), differing profiles are DISTINCT with no
+    rewriting, and agreeing ones give EQUAL when the normal forms match,
+    DISTINCT when they are two different leaves and UNKNOWN otherwise.
+    These are the verdicts of comparing normal forms first.  Elsewhere, or
+    where the profiles cannot be read, the normal forms are compared, then
+    their profiles, and whatever rewriting raises is raised.
+    """
+    if all(e is One or isinstance(e, Fund) for e in (e1, e2)):
+        return Verdict.EQUAL if e1 == e2 else Verdict.DISTINCT
+    agree = _profiles_agree(info, e1, e2)
+    if agree is False and _keeps_profiles(info, facts):
+        return Verdict.DISTINCT
     n1 = normalize(info, e1, facts)
     n2 = normalize(info, e2, facts)
     if n1 == n2:
         return Verdict.EQUAL
     if all(n is One or isinstance(n, Fund) for n in (n1, n2)):
         return Verdict.DISTINCT
+    if agree and _keeps_profiles(info, facts):
+        return Verdict.UNKNOWN
     probes = affine._kept(affine._derived(info), "probe_basis", _probe_basis, info)
     if block_profile(info, n1, probes) != block_profile(info, n2, probes):
         return Verdict.DISTINCT
